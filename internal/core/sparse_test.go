@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/binding"
 	"repro/internal/cdfg"
 	"repro/internal/regbind"
 	"repro/internal/workload"
@@ -32,32 +34,101 @@ func bindBench(t *testing.T, name string, opt Options) (*Report, []int) {
 	return rep, res.FUOf
 }
 
+// flowCase prepares a seed benchmark the way the flow binds it: the
+// balanced Table 2 schedule, the shared random port assignment (seed
+// 26) driving register binding, and the flow's Eq. 4 betas.
+func flowCase(t *testing.T, name string) (*cdfg.Graph, *cdfg.Schedule, *regbind.Binding, cdfg.ResourceConstraint, Options) {
+	t.Helper()
+	p, ok := workload.ByName(name)
+	if !ok {
+		t.Fatalf("unknown benchmark %s", name)
+	}
+	g := workload.Generate(p)
+	s, err := workload.Schedule(p, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swap := binding.RandomPortAssignment(g, 26)
+	rb, err := regbind.BindOpt(g, s, regbind.Options{Swap: swap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions(sharedTable)
+	opt.BetaAdd, opt.BetaMult = 300, 10000
+	opt.Swap = swap
+	return g, s, rb, p.RC, opt
+}
+
+// oracleCase is one (MergesPerIteration, benchmark) point of the seed
+// oracle tests.
+type oracleCase struct {
+	mpi  int
+	name string
+}
+
+// oracleCases lists the points the seed oracle tests bind: both merge
+// regimes on every seed benchmark but the two largest (steam, chem),
+// where the full-rescore oracle is too slow under -race.
+func oracleCases() []oracleCase {
+	var cases []oracleCase
+	for _, mpi := range []int{0, 1} {
+		for _, name := range []string{"pr", "wang", "mcm", "honda", "dir"} {
+			cases = append(cases, oracleCase{mpi, name})
+		}
+	}
+	return cases
+}
+
+// matchOracle binds with opt and requires the full-rescore oracle's
+// binding, iteration count, and per-round compatible-edge total.
+func matchOracle(t *testing.T, label string, g *cdfg.Graph, s *cdfg.Schedule, rb *regbind.Binding, rc cdfg.ResourceConstraint, opt Options) *Report {
+	t.Helper()
+	refRes, refRep, err := referenceBind(g, s, rb, rc, opt, nil)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", label, err)
+	}
+	res, rep, err := Bind(g, s, rb, rc, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !reflect.DeepEqual(res.FUOf, refRes.FUOf) {
+		t.Fatalf("%s: binding differs from the full-rescore oracle", label)
+	}
+	if rep.Iterations != refRep.Iterations {
+		t.Fatalf("%s: %d iterations, oracle %d", label, rep.Iterations, refRep.Iterations)
+	}
+	if got := rep.EdgesScored + rep.EdgesReused; got != refRep.EdgesScored {
+		t.Fatalf("%s: scored %d + reused %d = %d edges, oracle evaluated %d",
+			label, rep.EdgesScored, rep.EdgesReused, got, refRep.EdgesScored)
+	}
+	return rep
+}
+
+// TestSeedsMatchFullRescore binds the seed benchmarks at the flow's
+// settings with default options and requires the full-rescore oracle's
+// binding, iteration count and compatible-edge count.
+func TestSeedsMatchFullRescore(t *testing.T) {
+	for _, c := range oracleCases() {
+		g, s, rb, rc, opt := flowCase(t, c.name)
+		opt.MergesPerIteration = c.mpi
+		matchOracle(t, fmt.Sprintf("%s mpi=%d", c.name, c.mpi), g, s, rb, rc, opt)
+	}
+}
+
 // TestSparseFullKMatchesExactOnSeeds is the sparsification soundness
 // property: with the candidate bound k at least the live node count
 // (and the shape clamp off), admission keeps every compatible pair, so
-// the sparse path must reproduce the exact dense binding bit for bit —
-// on all seven seed benchmarks.
+// a forced bounded run must reproduce the full-rescore oracle bit for
+// bit on the seed benchmarks.
 func TestSparseFullKMatchesExactOnSeeds(t *testing.T) {
-	for _, p := range workload.Benchmarks {
-		exact := DefaultOptions(sharedTable)
-		exact.Exact = true
-		exactRep, exactFU := bindBench(t, p.Name, exact)
-		if exactRep.Mode != "exact" {
-			t.Fatalf("%s: Exact run reported mode %q", p.Name, exactRep.Mode)
-		}
-
-		sparse := DefaultOptions(sharedTable)
-		sparse.CandidateK = p.Adds + p.Mults // ≥ live nodes of any class
-		sparse.ShapeCap = -1
-		sparseRep, sparseFU := bindBench(t, p.Name, sparse)
-		if sparseRep.Mode != "sparse" {
-			t.Fatalf("%s: CandidateK=%d run reported mode %q", p.Name, sparse.CandidateK, sparseRep.Mode)
-		}
-		if !reflect.DeepEqual(sparseFU, exactFU) {
-			t.Fatalf("%s: sparse (k=%d) binding differs from exact dense binding", p.Name, sparse.CandidateK)
-		}
-		if sparseRep.Iterations != exactRep.Iterations {
-			t.Fatalf("%s: sparse took %d iterations, exact %d", p.Name, sparseRep.Iterations, exactRep.Iterations)
+	for _, c := range oracleCases() {
+		g, s, rb, rc, opt := flowCase(t, c.name)
+		opt.MergesPerIteration = c.mpi
+		opt.CandidateK = len(g.Ops()) // ≥ live nodes of any class
+		opt.ShapeCap = -1
+		rep := matchOracle(t, fmt.Sprintf("%s mpi=%d k=%d", c.name, c.mpi, opt.CandidateK), g, s, rb, rc, opt)
+		if rep.Mode != "sparse" {
+			t.Fatalf("%s: CandidateK=%d run reported mode %q", c.name, opt.CandidateK, rep.Mode)
 		}
 	}
 }
