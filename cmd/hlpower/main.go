@@ -18,23 +18,20 @@
 // FPGA→ASIC gap factors applied to the final report; SA tables loaded
 // with -loadsatable must have been characterized under the same arch),
 // -width, -vectors, -alpha, -benchset (comma-separated
-// benchmark subset), -loadsatable FILE, -j N (parallel workers for the
-// sweep, the binding engine's edge scoring, and the word-parallel
-// simulator's lane groups; every run is independently seeded and both
-// bindings and transition counts are bit-identical at every worker
-// count, so the output is identical for any -j), -simjobs N (override
-// the simulator's worker count independently of -j; -1, the default,
-// follows -j), -simwide N (64-cycle lane groups per simulation event
-// pass; a throughput knob with bit-identical output), -trace FILE (write
+// benchmark subset), -loadsatable FILE, -j N (the one worker count: the
+// sweep, SA precompute, the binding engine's edge scoring, the
+// simulator's lane groups, and the back end's elaboration, LUT covering
+// and power scan; every run is independently seeded and bindings,
+// transition counts and netlists are bit-identical at every worker
+// count, so the output is identical for any -j), -trace FILE (write
 // pipeline stage spans as JSON to FILE, or "-" for stdout, and print a
 // per-stage cache summary to stderr), -bindstats FILE (write the
 // binding engine's per-run reports — edges scored vs reused,
 // invalidation ratio, store mode and peak memory, per-iteration
-// timings — as JSON to FILE, "-" for stdout), -bindk N (candidate-store
-// row budget for HLPower's sparse mode; 0 keeps the engine default),
-// -exact (force the exact dense edge store at any problem size; both
-// knobs are semantic and participate in run cache keys and the config
-// fingerprint).
+// timings — as JSON to FILE, "-" for stdout), -bindk N (bound HLPower's
+// candidate rows at N per U-node; 0 keeps the engine default), -exact
+// (keep rows with no bound at any problem size; both knobs are semantic
+// and participate in run cache keys and the config fingerprint).
 //
 // Failure handling: -timeout D bounds the whole invocation (the sweep
 // cancels cooperatively, like Ctrl-C/SIGTERM), -keepgoing finishes the
@@ -82,15 +79,12 @@ func main() {
 		saveTable = flag.String("satable", "", "precompute the SA table up to -maxmux and save to FILE")
 		loadTable = flag.String("loadsatable", "", "load a precomputed SA table from FILE")
 		maxMux    = flag.Int("maxmux", 8, "mux size bound for -satable precompute")
-		jobs      = flag.Int("j", 0, "parallel workers for sweeps and precompute (0 = GOMAXPROCS)")
-		simJobs   = flag.Int("simjobs", -1, "simulation lane-group workers (0 = GOMAXPROCS, -1 = follow -j)")
-		mapJobs   = flag.Int("mapjobs", -1, "back-end workers for datapath elaboration, LUT covering, and the power scan; bit-identical output at any count (0 = GOMAXPROCS, -1 = follow -j)")
-		simWide   = flag.Int("simwide", 0, "64-cycle lane groups per simulation event pass (0 = engine default; results identical at every width)")
+		jobs      = flag.Int("j", 0, "parallel workers for sweeps, precompute, edge scoring, simulation and the back end; output is identical at every count (0 = GOMAXPROCS)")
 		alphaList = flag.String("alphasweep", "", "comma-separated alpha values to sweep HLPower over")
 		traceOut  = flag.String("trace", "", "write pipeline stage spans as JSON to FILE (\"-\" = stdout) plus a per-stage summary to stderr")
 		bindStats = flag.String("bindstats", "", "write the binding engine's per-run statistics as JSON to FILE (\"-\" = stdout)")
-		bindK     = flag.Int("bindk", 0, "candidate-store row budget for HLPower's sparse mode (0 = engine default)")
-		bindExact = flag.Bool("exact", false, "force HLPower's exact dense edge store (disables the sparse candidate store at any size)")
+		bindK     = flag.Int("bindk", 0, "bound HLPower's candidate rows at N candidates per U-node (0 = engine default)")
+		bindExact = flag.Bool("exact", false, "keep HLPower's candidate rows with no bound at any problem size (every compatible pair scored)")
 		timeout   = flag.Duration("timeout", 0, "cancel the whole invocation after this long (0 = no limit)")
 		keepGoing = flag.Bool("keepgoing", false, "after a pair fails, keep sweeping the remaining (benchmark, binder) pairs and report partial results")
 		failOut   = flag.String("failures", "", "write the machine-readable failure report as JSON to FILE (\"-\" = stdout)")
@@ -179,14 +173,7 @@ func main() {
 	cfg.BindExact = *bindExact
 	cfg.BindJobs = *jobs
 	cfg.SimJobs = *jobs
-	if *simJobs >= 0 {
-		cfg.SimJobs = *simJobs
-	}
-	cfg.SimWide = *simWide
 	cfg.MapJobs = *jobs
-	if *mapJobs >= 0 {
-		cfg.MapJobs = *mapJobs
-	}
 	se := flow.NewSession(cfg)
 	se.Jobs = *jobs
 	if *benchset != "" {

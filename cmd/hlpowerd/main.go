@@ -64,8 +64,7 @@ func main() {
 		archName = flag.String("arch", "k4", "base target architecture: k4, k6, or asic (requests may override)")
 		width    = flag.Int("width", 8, "base datapath bit width")
 		vectors  = flag.Int("vectors", 1000, "base random simulation vectors")
-		jobs     = flag.Int("j", 0, "intra-request sweep workers (0 = GOMAXPROCS)")
-		mapJobs  = flag.Int("mapjobs", 0, "back-end workers for datapath elaboration, LUT covering, and the power scan; bit-identical output at any count (0 = GOMAXPROCS, 1 = serial)")
+		jobs     = flag.Int("j", 0, "intra-request workers for sweeps, edge scoring, simulation and the back end; output is identical at every count (0 = GOMAXPROCS)")
 		maxConc  = flag.Int("maxconcurrent", 0, "flow requests executing at once (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 0, "flow requests waiting for a slot before 429 (0 = 2x maxconcurrent)")
 		reqTO    = flag.Duration("reqtimeout", 2*time.Minute, "default per-request deadline")
@@ -85,7 +84,9 @@ func main() {
 	cfg := flow.DefaultConfig()
 	cfg.Width = *width
 	cfg.Vectors = *vectors
-	cfg.MapJobs = *mapJobs
+	cfg.BindJobs = *jobs
+	cfg.SimJobs = *jobs
+	cfg.MapJobs = *jobs
 	cfg = cfg.WithArch(target)
 
 	var fi *pipeline.FaultInjector

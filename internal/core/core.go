@@ -16,8 +16,8 @@
 // with beta ~ 30 for adders and ~ 1000 for multipliers.
 //
 // The iteration is run by an incremental engine (engine.go): edge
-// weights persist across merge rounds and only edges incident to
-// changed U-nodes are rescored, Eq. 4 is memoized per distinct mux
+// weights persist across merge rounds in per-U-node candidate rows
+// (sparse.go) and only edges incident to changed nodes are rescored, Eq. 4 is memoized per distinct mux
 // shape, and fresh scoring fans out over a deterministic worker pool.
 // Bindings are bit-identical to a full per-round rescore at every
 // worker count.
@@ -61,35 +61,34 @@ type Options struct {
 	// parallelism only spreads pure per-edge evaluations; aggregation
 	// is order-independent.
 	Workers int
-	// CandidateK bounds the per-U-node candidate list in sparse mode.
-	// 0 selects the scale mode automatically: runs whose largest FU
-	// class exceeds sparseAutoMinNodes live nodes go sparse with
-	// DefaultCandidateK (and the auto SA shape clamp); smaller runs stay
-	// on the exact dense store, bit-identical to the historical
-	// behaviour. A positive value forces sparse mode at that k for the
-	// whole run.
+	// CandidateK bounds the per-U-node candidate rows. 0 selects the
+	// bound automatically: runs whose largest FU class exceeds
+	// sparseAutoMinNodes live nodes bound rows at DefaultCandidateK (and
+	// the auto SA shape clamp); smaller runs keep rows with no bound,
+	// bit-identical to the historical behaviour. A positive value bounds
+	// rows at that k for the whole run.
 	CandidateK int
-	// Exact forces the dense edge store and Hungarian solver regardless
+	// Exact keeps rows with no bound and the Hungarian solver regardless
 	// of problem size — every compatible U×V pair is scored each round.
 	// Small nets take this path automatically; the flag exists so large
 	// nets can pay the quadratic cost when a reference binding is
 	// wanted.
 	Exact bool
 	// ShapeCap clamps the (kL, kR) mux shape used for the SA lookup and
-	// Eq. 4 in sparse mode, bounding SA-table cost on huge nets where
+	// Eq. 4 in bounded rows, bounding SA-table cost on huge nets where
 	// merged port sets reach hundreds of registers. 0 = automatic: the
-	// DefaultShapeCap applies only when sparse mode itself was
-	// auto-selected (CandidateK == 0); explicitly forced sparse runs
-	// stay unclamped so they remain weight-identical to exact mode.
-	// Negative disables clamping; positive forces that cap in sparse
-	// mode. Exact mode never clamps.
+	// DefaultShapeCap applies only when the row bound itself was
+	// auto-selected (CandidateK == 0); explicitly bounded runs stay
+	// unclamped so they remain weight-identical to rows with no bound.
+	// Negative disables clamping; positive forces that cap on bounded
+	// rows. Rows with no bound never clamp.
 	ShapeCap int
 }
 
-// Sparse-mode defaults. DefaultCandidateK is the per-U-node candidate
+// Row-bound defaults. DefaultCandidateK is the per-U-node candidate
 // bound when scale mode auto-engages; sparseAutoMinNodes is the live
-// node count past which a class is considered too large for the dense
-// store; DefaultShapeCap bounds SA-lookup mux shapes in auto-sparse
+// node count past which a class is considered too large for rows with
+// no bound; DefaultShapeCap bounds SA-lookup mux shapes in auto-sparse
 // runs.
 const (
 	DefaultCandidateK  = 64
@@ -113,7 +112,7 @@ type IterationStat struct {
 	VNodes int `json:"v_nodes"`
 	// EdgesScored counts compatible edges whose weight was freshly
 	// evaluated this round; EdgesReused counts compatible edges served
-	// from the persistent store.
+	// from the persistent candidate rows.
 	EdgesScored int `json:"edges_scored"`
 	EdgesReused int `json:"edges_reused"`
 	// Merges is the number of matched pairs combined this round.
@@ -129,8 +128,8 @@ type IterationStat struct {
 type Report struct {
 	Iterations int `json:"iterations"`
 	// EdgesScored counts freshly evaluated edge weights; EdgesReused
-	// counts compatible edges answered from the persistent edge store
-	// without re-evaluation. Their sum equals the compatible-edge count
+	// counts compatible edges answered from the persistent candidate
+	// rows without re-evaluation. Their sum equals the compatible-edge count
 	// a full per-round rescore would have evaluated.
 	EdgesScored int `json:"edges_scored"`
 	EdgesReused int `json:"edges_reused"`
@@ -139,11 +138,11 @@ type Report struct {
 	WeightShapes int           `json:"weight_shapes"`
 	TableMisses  int           `json:"table_misses"`
 	Runtime      time.Duration `json:"runtime_ns"`
-	// Mode records which edge store ran: "exact" (dense, every
-	// compatible pair scored and persisted) or "sparse" (bounded
-	// per-U-node candidate lists).
+	// Mode records the row bound the run used: "exact" (rows with no
+	// bound, every compatible pair scored and persisted) or "sparse"
+	// (rows bounded at k candidates per U-node).
 	Mode string `json:"mode"`
-	// Memory accounting for the edge/candidate store — the source the
+	// Memory accounting for the candidate rows — the source the
 	// scale benchmarks' memory-budget gate and hlpowerd's /statsz read
 	// from. EdgesResident and StoreBytes describe the store when the
 	// run finished; the Peak variants track the largest footprint any
@@ -200,7 +199,7 @@ func Bind(g *cdfg.Graph, s *cdfg.Schedule, rb *regbind.Binding, rc cdfg.Resource
 	rep.WeightShapes = len(e.memo)
 	rep.TableMisses = opt.Table.Misses() - missesBefore
 	rep.Mode = "exact"
-	if e.sparse {
+	if e.bounded {
 		rep.Mode = "sparse"
 	}
 	rep.EdgesResident, rep.StoreBytes = e.memFootprint()

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -15,7 +15,6 @@ import (
 	"repro/internal/matching"
 	"repro/internal/netgen"
 	"repro/internal/regbind"
-	"repro/internal/satable"
 )
 
 // The incremental binding engine behind Bind.
@@ -23,16 +22,16 @@ import (
 // A full rescore evaluates every compatible U×V edge each merge round,
 // but a round only mutates the U-nodes that absorbed a partner (their
 // operation set, occupation interval, and port sources grow) and kills
-// the absorbed V-nodes. Every other pair is untouched, so its
-// compatibility verdict and Eq. 4 weight are still valid. The engine
-// therefore keeps a persistent edge store keyed by node identity,
-// drops a U-node's row whenever it merges (forcing a compatibility
-// re-check against its new occupation interval and a rescore), and
-// answers everything else from the store.
+// the absorbed V-nodes. Every other pair is untouched, so its Eq. 4
+// weight is still valid. The engine therefore keeps a persistent
+// candidate row per U-node (sparse.go), keyed by node identity, drops a
+// U-node's row whenever it merges (forcing a compatibility re-check
+// against its new occupation interval and a rescore), and answers
+// everything else from the rows.
 //
-// Freshly scored edges split into two phases: a parallel pure phase
-// (compatibility + merged mux shape, written to per-edge slots so no
-// two workers share state) and a serial aggregation phase that memoizes
+// Freshly admitted edges are scored in two phases: a parallel pure
+// phase (merged mux shape, written to per-edge slots so no two workers
+// share state) and a serial aggregation phase that memoizes
 // Eq. 4 per distinct (kind, kL, kR) shape — the weight depends on the
 // merged pair only through that shape, so one SA lookup and one Eq. 4
 // evaluation serve every edge of the same shape. Aggregation walks the
@@ -47,17 +46,9 @@ type weightKey struct {
 	kl, kr int
 }
 
-// storedEdge is one persisted U×V verdict. Incompatible pairs persist
-// too (compat false) so their occupation-interval check is also never
-// repeated while both endpoints stand.
-type storedEdge struct {
-	w      float64
-	compat bool
-}
-
 // fuNode is a working functional-unit node of the bipartite graph.
 type fuNode struct {
-	id   int // stable identity; edge-store key
+	id   int // stable identity; candidate-row key
 	kind netgen.FUKind
 	ops  []int
 	inU  bool
@@ -68,10 +59,10 @@ type fuNode struct {
 	// ports tracks the distinct register sources per FU port.
 	ports binding.PortSets
 	// pcost caches the node's total distinct port sources (|L| + |R|) —
-	// the sparse admission score. Maintained on merge.
+	// the candidate admission score. Maintained on merge.
 	pcost int
 	// vStamp marks membership in the current round's V list and vIdx
-	// the node's index in it (sparse mode; see scoreEdgesSparse).
+	// the node's index in it (see scoreEdgesSparse).
 	vStamp, vIdx int
 }
 
@@ -81,15 +72,14 @@ type engine struct {
 
 	nodes  []*fuNode
 	counts map[netgen.FUKind]int // live nodes per class, maintained across merges
-	store  map[int]map[int]storedEdge
 	memo   map[weightKey]float64
 	solver *matching.Solver
 
-	// Sparse-mode state (sparse.go). The mode is decided once per run:
-	// either the dense store above or the bounded candidate rows below
-	// carry the whole binding, never a mix.
-	sparse   bool
-	k        int // per-U-node candidate bound
+	// Candidate-row state (sparse.go). The row bound is decided once
+	// per run: rows either have no bound (every compatible pair, the
+	// historical exact binding) or hold at most k candidates.
+	bounded  bool
+	k        int // per-U-node candidate bound (math.MaxInt = none)
 	shapeCap int // SA shape clamp (0 = none)
 	round    int
 	byID     []*fuNode        // stable node id -> node (dead nodes included)
@@ -106,9 +96,10 @@ func newEngine(g *cdfg.Graph, s *cdfg.Schedule, rb *regbind.Binding, res *bindin
 		rc:     rc,
 		opt:    opt,
 		counts: map[netgen.FUKind]int{},
-		store:  map[int]map[int]storedEdge{},
 		memo:   map[weightKey]float64{},
 		solver: matching.NewSolver(),
+		k:      math.MaxInt,
+		rows:   map[int]*candRow{},
 	}
 	maxStep := 0
 	for _, op := range g.Ops() {
@@ -136,9 +127,9 @@ func newEngine(g *cdfg.Graph, s *cdfg.Schedule, rb *regbind.Binding, res *bindin
 		e.counts[n.kind]++
 	}
 	e.byID = append([]*fuNode(nil), e.nodes...)
-	// Mode selection, fixed for the whole run: exact (dense) unless the
-	// caller forces sparse via CandidateK, or auto-scale triggers
-	// because the largest class outgrows the dense store. Every seed
+	// Row bound, fixed for the whole run: none (exact) unless the
+	// caller bounds rows via CandidateK, or auto-scale triggers because
+	// the largest class outgrows sparseAutoMinNodes. Every seed
 	// benchmark and every historical golden sits far below the
 	// threshold, so they stay bit-identical on the exact path.
 	maxClass := 0
@@ -147,8 +138,8 @@ func newEngine(g *cdfg.Graph, s *cdfg.Schedule, rb *regbind.Binding, res *bindin
 			maxClass = c
 		}
 	}
-	e.sparse = !opt.Exact && (opt.CandidateK > 0 || maxClass > sparseAutoMinNodes)
-	if e.sparse {
+	e.bounded = !opt.Exact && (opt.CandidateK > 0 || maxClass > sparseAutoMinNodes)
+	if e.bounded {
 		e.k = opt.CandidateK
 		if e.k <= 0 {
 			e.k = DefaultCandidateK
@@ -158,10 +149,9 @@ func newEngine(g *cdfg.Graph, s *cdfg.Schedule, rb *regbind.Binding, res *bindin
 			e.shapeCap = opt.ShapeCap
 		case opt.ShapeCap == 0 && opt.CandidateK == 0:
 			// The clamp auto-engages only alongside auto-sparse:
-			// explicitly forced sparse runs keep exact Eq. 4 weights.
+			// explicitly bounded runs keep exact Eq. 4 weights.
 			e.shapeCap = DefaultShapeCap
 		}
-		e.rows = map[int]*candRow{}
 	}
 	e.seedU(s)
 	return e
@@ -237,16 +227,7 @@ func (e *engine) run(rep *Report) error {
 			}
 		}
 		scoreStart := time.Now()
-		var (
-			edges          []matching.Edge
-			scored, reused int
-			err            error
-		)
-		if e.sparse {
-			edges, scored, reused, err = e.scoreEdgesSparse(uList, vList)
-		} else {
-			edges, scored, reused, err = e.scoreEdges(uList, vList)
-		}
+		edges, scored, reused, err := e.scoreEdgesSparse(uList, vList)
 		if err != nil {
 			return err
 		}
@@ -271,8 +252,8 @@ func (e *engine) run(rep *Report) error {
 		}
 		solveStart := time.Now()
 		var match []int
-		if e.sparse {
-			// Candidate rounds are sparse by construction; the solver
+		if e.bounded {
+			// Bounded rounds are sparse by construction; the solver
 			// routes big low-density rounds to SSP and the rest to the
 			// dense Hungarian path.
 			match, _ = e.solver.MaxWeightAuto(len(uList), len(vList), edges)
@@ -347,89 +328,6 @@ func (e *engine) run(rep *Report) error {
 	return nil
 }
 
-// scoreEdges assembles the round's compatible weighted edges. Pairs
-// with a stored verdict are answered from the store; the rest are
-// evaluated — compatibility and merged mux shape in parallel over
-// per-pair slots, then weights via the shape memo in a fixed serial
-// order — and persisted. The returned edge list is identical at every
-// worker count.
-func (e *engine) scoreEdges(uList, vList []*fuNode) (edges []matching.Edge, scored, reused int, err error) {
-	type slot struct {
-		ui, vi int
-		compat bool
-		kl, kr int
-	}
-	var pending []slot
-	for ui, u := range uList {
-		row := e.store[u.id]
-		for vi, v := range vList {
-			if se, ok := row[v.id]; ok {
-				if se.compat {
-					edges = append(edges, matching.Edge{U: ui, V: vi, W: se.w})
-					reused++
-				}
-				continue
-			}
-			pending = append(pending, slot{ui: ui, vi: vi})
-		}
-	}
-	// Parallel pure phase: each worker writes only its own slots.
-	parallelDo(len(pending), e.opt.Workers, func(i int) {
-		sl := &pending[i]
-		u, v := uList[sl.ui], vList[sl.vi]
-		// The paper's two compatibility criteria: same operation class
-		// and no overlapping occupation steps.
-		if u.kind != v.kind || u.occ.Intersects(v.occ) {
-			return
-		}
-		sl.compat = true
-		sl.kl, sl.kr = binding.MergedMuxSizesSets(u.ports, v.ports)
-	})
-	// Serial aggregation: collect the distinct unmemoized shapes in
-	// first-seen slot order, batch-fetch their SA, memoize Eq. 4.
-	var missing []satable.Key
-	seen := map[weightKey]bool{}
-	for i := range pending {
-		sl := &pending[i]
-		if !sl.compat {
-			continue
-		}
-		k := weightKey{uList[sl.ui].kind, sl.kl, sl.kr}
-		if _, ok := e.memo[k]; ok || seen[k] {
-			continue
-		}
-		seen[k] = true
-		missing = append(missing, satable.Key{Kind: k.kind, KL: k.kl, KR: k.kr})
-	}
-	if len(missing) > 0 {
-		vals, berr := e.opt.Table.GetBatch(context.Background(), missing, e.opt.Workers)
-		if berr != nil {
-			return nil, 0, 0, fmt.Errorf("core: SA lookup: %w", berr)
-		}
-		for i, key := range missing {
-			e.memo[weightKey{key.Kind, key.KL, key.KR}] = e.weightFromShape(key.Kind, key.KL, key.KR, vals[i])
-		}
-	}
-	for i := range pending {
-		sl := &pending[i]
-		u, v := uList[sl.ui], vList[sl.vi]
-		row := e.store[u.id]
-		if row == nil {
-			row = map[int]storedEdge{}
-			e.store[u.id] = row
-		}
-		if !sl.compat {
-			row[v.id] = storedEdge{}
-			continue
-		}
-		w := e.memo[weightKey{u.kind, sl.kl, sl.kr}]
-		row[v.id] = storedEdge{w: w, compat: true}
-		edges = append(edges, matching.Edge{U: sl.ui, V: sl.vi, W: w})
-		scored++
-	}
-	return edges, scored, reused, nil
-}
-
 // weightFromShape evaluates Eq. 4 for a merged mux shape. The
 // arithmetic is kept in exactly this form — alpha*(1/sa) +
 // (1-alpha)*(1/((muxDiff+1)*beta)) — so memoized weights are
@@ -447,34 +345,26 @@ func (e *engine) weightFromShape(kind netgen.FUKind, kl, kr int, sa float64) flo
 }
 
 // merge folds v into u: operations, occupation, and port sources union;
-// u's stored edges are invalidated (its intervals and shapes changed);
-// v dies and its column is pruned during compaction.
+// u's candidate row is dropped (its intervals and shapes changed); v
+// dies, and rows holding it re-admit on their next round.
 func (e *engine) merge(u, v *fuNode) {
 	u.ops = append(u.ops, v.ops...)
 	u.occ.Union(v.occ)
 	u.ports.Merge(v.ports)
-	if e.sparse {
-		delete(e.rows, u.id)
-	} else {
-		delete(e.store, u.id)
-	}
+	delete(e.rows, u.id)
 	l, r := u.ports.Sizes()
 	u.pcost = l + r
 	e.counts[u.kind]--
 	v.dead = true
 }
 
-// compact removes absorbed nodes and prunes their store columns.
+// compact removes absorbed nodes from the live list.
 func (e *engine) compact() {
 	keep := e.nodes[:0]
 	for _, n := range e.nodes {
-		if n.dead {
-			for _, row := range e.store {
-				delete(row, n.id)
-			}
-			continue
+		if !n.dead {
+			keep = append(keep, n)
 		}
-		keep = append(keep, n)
 	}
 	e.nodes = keep
 }

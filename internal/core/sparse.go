@@ -10,19 +10,21 @@ import (
 	"repro/internal/satable"
 )
 
-// Sparse candidate store: the scale path of the binding engine.
+// Candidate rows: the binding engine's edge store.
 //
-// The dense store persists every compatible U×V verdict, which is
-// O(|U|·|V|) entries and forces a full-row rescore — |V| SA-shape
-// evaluations — every time a U-node merges. At 10k operations both the
-// resident edges and the per-round rescore dwarf the useful work: a
-// merge round only ever commits a handful of pairs, and the pairs worth
-// committing are overwhelmingly those whose merged multiplexers stay
-// small (Eq. 4 rewards small SA and balanced muxes, and both grow with
-// the merged port sets).
+// Every U-node keeps a row of candidate partners with their scored
+// Eq. 4 weights. By default a row has no bound: it holds every
+// compatible V-node, which is exactly the edge set a full per-round
+// rescore evaluates. That is O(|U|·|V|) entries and a full-row rescore
+// — |V| SA-shape evaluations — every time a U-node merges. At 10k
+// operations both the resident edges and the per-round rescore dwarf
+// the useful work: a merge round only ever commits a handful of pairs,
+// and the pairs worth committing are overwhelmingly those whose merged
+// multiplexers stay small (Eq. 4 rewards small SA and balanced muxes,
+// and both grow with the merged port sets).
 //
-// Sparse mode therefore keeps, per U-node, a bounded candidate row of
-// the k most promising partners:
+// Bounded rows (the scale path) therefore keep, per U-node, only the k
+// most promising partners:
 //
 //   - Admission is by a cheap O(1) score — the candidate's cached
 //     distinct-source count |L|+|R| (an upper bound on its contribution
@@ -44,13 +46,15 @@ import (
 //
 //  1. Admitted candidates are always a subset of the exactly-compatible
 //     pairs; no occupation-overlap or cross-class edge is ever emitted.
-//  2. With k ≥ the live candidate count, admission degenerates to "all
-//     compatible pairs" and — with the shape clamp off — the emitted
-//     edge set, weights, and therefore the binding are bit-identical to
-//     exact mode (property-tested on all seven seed benchmarks).
-//  3. The SA shape clamp (shapeCap) only applies in sparse mode, and by
-//     default only when sparse mode itself auto-engaged; exact mode and
-//     forced-k runs evaluate Eq. 4 on the true merged shape.
+//  2. Rows with no bound — and bounded rows whose k is at least the
+//     live candidate count, with the shape clamp off — admit every
+//     compatible pair, so the emitted edge set, weights, and therefore
+//     the binding are bit-identical to a full per-round rescore
+//     (oracle-tested on the seed benchmarks).
+//  3. The SA shape clamp (shapeCap) only applies to bounded rows, and
+//     by default only when the bound itself auto-engaged; rows with no
+//     bound and explicitly bounded runs evaluate Eq. 4 on the true
+//     merged shape.
 
 // candEdge is one admitted candidate of a U-node's row.
 type candEdge struct {
@@ -124,12 +128,12 @@ func (e *engine) admit(u *fuNode, vList []*fuNode) []admitEnt {
 	return h
 }
 
-// scoreEdgesSparse is the sparse-mode counterpart of scoreEdges: it
-// reconciles each U-node's candidate row (reusing untouched rows,
-// re-admitting invalidated ones), scores only fresh pairs — the same
-// parallel-shape / serial-weight split as the dense path, under the
-// optional shape clamp — and emits the round's edge list in the fixed
-// (U order, ascending vid) order, identical at every worker count.
+// scoreEdgesSparse assembles the round's weighted edges: it reconciles
+// each U-node's candidate row (reusing untouched rows, re-admitting
+// invalidated ones), scores only fresh pairs — shapes in parallel,
+// weights serially, under the optional shape clamp — and emits the
+// round's edge list in the fixed (U order, ascending vid) order,
+// identical at every worker count.
 func (e *engine) scoreEdgesSparse(uList, vList []*fuNode) (edges []matching.Edge, scored, reused int, err error) {
 	e.round++
 	for vi, v := range vList {
@@ -201,9 +205,8 @@ func (e *engine) scoreEdgesSparse(uList, vList []*fuNode) (edges []matching.Edge
 		}
 		sl.kl, sl.kr = kl, kr
 	})
-	// Serial aggregation, identical to the dense path: distinct
-	// unmemoized shapes in first-seen order, one batched SA fetch,
-	// Eq. 4 through the shape memo.
+	// Serial aggregation: distinct unmemoized shapes in first-seen
+	// order, one batched SA fetch, Eq. 4 through the shape memo.
 	var missing []satable.Key
 	seen := map[weightKey]bool{}
 	for i := range pending {
@@ -230,8 +233,8 @@ func (e *engine) scoreEdgesSparse(uList, vList []*fuNode) (edges []matching.Edge
 		scored++
 	}
 	// Emission in fixed (U order, ascending vid) order. vList is in
-	// ascending id order too, so this matches the dense path's edge
-	// order exactly when every compatible pair is admitted.
+	// ascending id order too, so this matches a full rescore's (U, V)
+	// edge order exactly when every compatible pair is admitted.
 	for ui, u := range uList {
 		row := e.rows[u.id]
 		if row == nil {
@@ -245,21 +248,14 @@ func (e *engine) scoreEdgesSparse(uList, vList []*fuNode) (edges []matching.Edge
 	return edges, scored, reused, nil
 }
 
-// memFootprint estimates the resident edge-store size: entry count and
-// approximate bytes (per-entry cost plus per-row overhead). It is the
-// number the Report's memory accounting — and the scale benchmarks'
-// memory-budget gate — reads.
+// memFootprint estimates the resident candidate-row size: entry count
+// and approximate bytes (per-entry cost plus per-row overhead). It is
+// the number the Report's memory accounting — and the scale
+// benchmarks' memory-budget gate — reads.
 func (e *engine) memFootprint() (entries int, bytes int64) {
-	if e.sparse {
-		for _, row := range e.rows {
-			entries += len(row.c)
-			bytes += 64 + int64(cap(row.c))*16
-		}
-		return entries, bytes
-	}
-	for _, row := range e.store {
-		entries += len(row)
-		bytes += 48 + int64(len(row))*64
+	for _, row := range e.rows {
+		entries += len(row.c)
+		bytes += 64 + int64(cap(row.c))*16
 	}
 	return entries, bytes
 }

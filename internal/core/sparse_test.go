@@ -135,7 +135,7 @@ func TestSparseFullKMatchesExactOnSeeds(t *testing.T) {
 
 // TestDefaultOptionsStayExactOnSeeds pins the auto mode selection: at
 // default options every seed benchmark is far below the scale
-// threshold and must keep running the historical dense path, so
+// threshold and must keep rows with no bound (the exact path), so
 // existing goldens can never shift under it.
 func TestDefaultOptionsStayExactOnSeeds(t *testing.T) {
 	for _, name := range []string{"pr", "chem"} {
@@ -225,8 +225,8 @@ func TestSparseAutoEngagesAtScale(t *testing.T) {
 }
 
 // TestSparseMemoryAccounting: the Report's store accounting must be
-// populated in both modes, and the bounded candidate store must be
-// dramatically smaller than the dense store on the same problem.
+// populated in both modes, and bounded rows must be dramatically
+// smaller than rows with no bound on the same problem.
 func TestSparseMemoryAccounting(t *testing.T) {
 	// MergesPerIteration=1 is the flow mainline: rows persist across
 	// rounds, so store residency is meaningful (at MergesPerIteration=0

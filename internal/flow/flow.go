@@ -119,15 +119,15 @@ type Config struct {
 	// GOMAXPROCS, 1 = serial). Non-semantic: bindings are bit-identical
 	// at every setting, so it is excluded from stage cache keys.
 	BindJobs int
-	// BindK forces HLPower's sparse candidate store with the given
-	// per-U-node bound (core.Options.CandidateK). 0 keeps the automatic
-	// mode selection: small nets run the exact dense store, nets past
-	// the scale threshold go sparse at the default k. Semantic — it can
-	// change the binding — so it participates in stage cache keys and
-	// the config fingerprint.
+	// BindK bounds HLPower's candidate rows at the given number of
+	// candidates per U-node (core.Options.CandidateK). 0 keeps the
+	// automatic selection: small nets keep rows with no bound, nets
+	// past the scale threshold bound them at the default k. Semantic —
+	// it can change the binding — so it participates in stage cache
+	// keys and the config fingerprint.
 	BindK int
-	// BindExact forces HLPower's exact dense store regardless of
-	// problem size (core.Options.Exact). Semantic, like BindK.
+	// BindExact keeps HLPower's candidate rows with no bound regardless
+	// of problem size (core.Options.Exact). Semantic, like BindK.
 	BindExact bool
 	// SimJobs is the word-parallel simulator's lane-group worker-pool
 	// size (0 = GOMAXPROCS, 1 = serial). Non-semantic: Counts and

@@ -8,11 +8,11 @@ import (
 	"repro/internal/workload"
 )
 
-// TestSparsePowerDelta bounds the quality cost of the bounded candidate
-// store: binding a control-heavy CDFG with the default sparse k must
-// not cost more than 1% dynamic power over the Exact dense binding.
-// The bound is one-sided — the exact engine is itself a greedy
-// iterative matcher, not a global optimum, so the sparse store may
+// TestSparsePowerDelta bounds the quality cost of bounded candidate
+// rows: binding a control-heavy CDFG with the default sparse k must
+// not cost more than 1% dynamic power over the Exact binding (rows
+// with no bound). The bound is one-sided — the exact engine is itself
+// a greedy iterative matcher, not a global optimum, so bounded rows may
 // legitimately land on a cheaper binding (it does on this graph). The
 // two runs share every other pipeline stage (same schedule, register
 // binding, vectors), so any delta is attributable to candidate

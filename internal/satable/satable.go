@@ -381,8 +381,10 @@ func (t *Table) Save(w io.Writer) error {
 // Bounds Load accepts. Wider than anything the flow generates, tight
 // enough that a corrupt file cannot smuggle in absurd configurations
 // that later panic the partial-datapath generator or mapper.
+// MaxLoadWidth is exported so other untrusted-input boundaries (the
+// daemon's per-request width override) apply the same datapath bound.
 const (
-	maxLoadWidth = 64
+	MaxLoadWidth = 64
 	maxLoadMux   = 256
 )
 
@@ -413,8 +415,8 @@ func Load(r io.Reader) (*Table, error) {
 	if _, err := fmt.Sscanf(header, "# hlpower-satable width=%d est=%s", &width, &estName); err != nil {
 		return nil, fmt.Errorf("satable: bad header %q: %w", header, err)
 	}
-	if width < 1 || width > maxLoadWidth {
-		return nil, fmt.Errorf("satable: header width %d out of range [1,%d]", width, maxLoadWidth)
+	if width < 1 || width > MaxLoadWidth {
+		return nil, fmt.Errorf("satable: header width %d out of range [1,%d]", width, MaxLoadWidth)
 	}
 	var est Estimator
 	switch estName {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/flow"
 	"repro/internal/pipeline"
+	"repro/internal/satable"
 	"repro/internal/workload"
 )
 
@@ -88,6 +89,16 @@ type configOverrides struct {
 	Vectors int    `json:"vectors,omitempty"`
 }
 
+// Bounds on untrusted request sizes. A width override elaborates
+// O(width²)-gate array multipliers and every distinct override derives
+// a new session, so width is capped at the SA table's own load bound
+// (satable.MaxLoadWidth) and vectors at maxVectors. maxIngestOps caps
+// inline ingest graphs; it still admits the 10032-op ctrl-10k tier.
+const (
+	maxVectors   = 100000
+	maxIngestOps = 16384
+)
+
 func (o configOverrides) apply(base flow.Config) (flow.Config, error) {
 	cfg := base
 	if o.Arch != "" {
@@ -96,6 +107,12 @@ func (o configOverrides) apply(base flow.Config) (flow.Config, error) {
 			return cfg, badRequest("unknown arch %q (want k4, k6, or asic)", o.Arch)
 		}
 		cfg = cfg.WithArch(t)
+	}
+	if o.Width > satable.MaxLoadWidth {
+		return cfg, badRequest("width %d exceeds the maximum %d", o.Width, satable.MaxLoadWidth)
+	}
+	if o.Vectors > maxVectors {
+		return cfg, badRequest("vectors %d exceeds the maximum %d", o.Vectors, maxVectors)
 	}
 	if o.Width > 0 {
 		cfg.Width = o.Width

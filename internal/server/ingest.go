@@ -76,6 +76,9 @@ func buildIngestGraph(req *IngestRequest) (*cdfg.Graph, error) {
 	if len(req.Ops) == 0 {
 		return nil, badRequest("ingest: at least one op is required")
 	}
+	if len(req.Ops) > maxIngestOps {
+		return nil, badRequest("ingest: %d ops exceed the maximum %d", len(req.Ops), maxIngestOps)
+	}
 	g := cdfg.NewGraph(req.Name)
 	ids := make(map[string]int, len(req.Inputs)+len(req.Ops))
 	for _, in := range req.Inputs {
