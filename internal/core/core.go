@@ -17,8 +17,9 @@
 //
 // The iteration is run by an incremental engine (engine.go): edge
 // weights persist across merge rounds in per-U-node candidate rows
-// (sparse.go) and only edges incident to changed nodes are rescored, Eq. 4 is memoized per distinct mux
-// shape, and fresh scoring fans out over a deterministic worker pool.
+// (sparse.go) and only edges incident to changed nodes are rescored,
+// Eq. 4 is memoized per distinct mux shape, and fresh scoring fans out
+// over a deterministic worker pool.
 // Bindings are bit-identical to a full per-round rescore at every
 // worker count.
 package core
@@ -65,7 +66,7 @@ type Options struct {
 	// bound automatically: runs whose largest FU class exceeds
 	// sparseAutoMinNodes live nodes bound rows at DefaultCandidateK (and
 	// the auto SA shape clamp); smaller runs keep rows with no bound,
-	// bit-identical to the historical behaviour. A positive value bounds
+	// bit-identical to a full per-round rescore. A positive value bounds
 	// rows at that k for the whole run.
 	CandidateK int
 	// Exact keeps rows with no bound and the Hungarian solver regardless

@@ -77,7 +77,7 @@ type engine struct {
 
 	// Candidate-row state (sparse.go). The row bound is decided once
 	// per run: rows either have no bound (every compatible pair, the
-	// historical exact binding) or hold at most k candidates.
+	// exact binding) or hold at most k candidates.
 	bounded  bool
 	k        int // per-U-node candidate bound (math.MaxInt = none)
 	shapeCap int // SA shape clamp (0 = none)
