@@ -118,10 +118,11 @@ func main() {
 	cfg := flow.DefaultConfig()
 	cfg.Width = *width
 	cfg.Vectors = *vectors
-	// WithArch retargets the mapper K, power model, and SA tables to
-	// -arch, and (via Normalize) replaces the default width-8 SA tables
-	// when -width changed them out from under us.
-	cfg = cfg.WithArch(target)
+	// Normalize retargets the mapper K, power model, and SA tables to
+	// -arch, and replaces the default width-8 SA tables when -width
+	// changed them out from under us.
+	cfg.Arch = target
+	cfg = cfg.Normalize()
 	if *loadTable != "" {
 		f, err := os.Open(*loadTable)
 		if err != nil {

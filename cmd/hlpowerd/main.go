@@ -87,7 +87,7 @@ func main() {
 	cfg.BindJobs = *jobs
 	cfg.SimJobs = *jobs
 	cfg.MapJobs = *jobs
-	cfg = cfg.WithArch(target)
+	cfg.Arch = target
 
 	var fi *pipeline.FaultInjector
 	if *inject != "" {

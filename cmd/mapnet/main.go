@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/arch"
 	"repro/internal/blif"
 	"repro/internal/mapper"
 	"repro/internal/power"
@@ -71,8 +72,10 @@ func main() {
 		name, net.NumGates(), res.LUTs, *k, res.Depth)
 	fmt.Printf("estimated SA %.3f (glitch %.3f)\n", res.EstSA, res.EstGlitch)
 
+	// Timing and power read the paper's Cyclone II constants at any -k.
+	target := arch.CycloneII()
 	if *sta {
-		an := timing.Analyze(res.Mapped, timing.CycloneII())
+		an := timing.Analyze(res.Mapped, timing.FromArch(target))
 		fmt.Print(an.Report(res.Mapped))
 	}
 	if *simN > 0 {
@@ -95,7 +98,7 @@ func main() {
 		if err := s.VCDErr(); err != nil {
 			fatal(err)
 		}
-		rep := power.CycloneII().Analyze(res.Mapped, counts)
+		rep := power.FromArch(target).Analyze(res.Mapped, counts)
 		fmt.Printf("simulated %d vectors: %.2f toggles/cycle, glitch share %.1f%%, est. dynamic power %.2f mW at %.1f ns\n",
 			*simN, counts.TogglesPerCycle(), rep.GlitchShare*100, rep.DynamicPowerMW, rep.ClockPeriodNs)
 	}

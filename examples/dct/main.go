@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,9 +33,10 @@ func main() {
 
 	fmt.Printf("\n%-14s %10s %8s %6s %10s %8s %8s\n",
 		"binder", "power(mW)", "clk(ns)", "LUTs", "muxLen", "toggle", "glitch%")
+	se := flow.NewSession(cfg)
 	var results []*flow.Result
 	for _, b := range []flow.Binder{flow.BinderLOPASS, flow.BinderHLPower05} {
-		r, err := flow.RunGraph(g, "dct8", rc, b, cfg)
+		r, err := se.RunGraphCtx(context.Background(), g, "dct8", rc, b)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -18,6 +18,7 @@ import (
 	"log"
 	"strings"
 
+	"repro/internal/arch"
 	"repro/internal/cdfg"
 	"repro/internal/core"
 	"repro/internal/datapath"
@@ -33,6 +34,10 @@ import (
 )
 
 const width = 8
+
+// fabric is the paper's Cyclone II target, read by both the timing and
+// the power model.
+var fabric = arch.CycloneII()
 
 func main() {
 	g := workload.FIR(8)
@@ -96,7 +101,7 @@ func run(label string, g *cdfg.Graph, s *cdfg.Schedule, rc cdfg.ResourceConstrai
 		log.Fatal(err)
 	}
 
-	tm := timing.CycloneII()
+	tm := timing.FromArch(fabric)
 	an := timing.Analyze(m.Mapped, tm)
 	// Multi-cycle timing exception: a register whose worst path passes
 	// through a multiplier gets `multAllowance` periods to settle.
@@ -122,8 +127,7 @@ func run(label string, g *cdfg.Graph, s *cdfg.Schedule, rc cdfg.ResourceConstrai
 		log.Fatal(err)
 	}
 	counts := sr.RunRandom(500, 2009)
-	pm := power.CycloneII()
-	pm.LUTDelayNs = 0 // period comes from STA below
+	pm := power.FromArch(fabric) // period comes from STA above
 	f := 1e9 / period
 	gateTps := float64(counts.Gate) / float64(counts.Cycles) * f
 	latchTps := float64(counts.Latch) / float64(counts.Cycles) * f

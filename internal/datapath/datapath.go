@@ -195,9 +195,9 @@ func ElaborateArchJobs(g *cdfg.Graph, s *cdfg.Schedule, rb *regbind.Binding, res
 	}
 	if jobs > 1 && len(res.FUs) > 1 {
 		type fuBuild struct {
-			frag           *frag
-			out            []int
-			nLeft, nRight  int
+			frag          *frag
+			out           []int
+			nLeft, nRight int
 		}
 		builds := make([]fuBuild, len(res.FUs))
 		nw := jobs

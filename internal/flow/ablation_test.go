@@ -31,31 +31,11 @@ func TestRunWithModSel(t *testing.T) {
 	ms.Width = cfg.Width
 	cfg.ModSel = &ms
 	g := workload.FIR(6)
-	r, err := RunGraph(g, "fir6", cdfg.ResourceConstraint{Add: 2, Mult: 2}, BinderHLPower05, cfg)
+	r, err := NewSession(cfg).RunGraphCtx(bgc, g, "fir6", cdfg.ResourceConstraint{Add: 2, Mult: 2}, BinderHLPower05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.LUTs <= 0 || r.Power.DynamicPowerMW <= 0 {
 		t.Fatal("modsel run produced no measurements")
-	}
-}
-
-func TestRunScheduledMultiCycle(t *testing.T) {
-	cfg := testConfig()
-	g := workload.FIR(6)
-	rc := cdfg.ResourceConstraint{Add: 2, Mult: 2}
-	s, err := cdfg.ListScheduleLat(g, rc, cdfg.Library{AddLatency: 1, MultLatency: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := RunScheduled(g, "fir6mc", s, rc, BinderHLPower05, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Schedule.Len != s.Len {
-		t.Fatal("schedule not carried through")
-	}
-	if r.Power.DynamicPowerMW <= 0 {
-		t.Fatal("no power measured")
 	}
 }

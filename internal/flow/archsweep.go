@@ -56,7 +56,9 @@ func ArchSweepData(ctx context.Context, se *Session, targets []arch.Target) ([]A
 		if err := t.Validate(); err != nil {
 			return nil, fmt.Errorf("flow: archsweep: %w", err)
 		}
-		derived[i] = se.Derive(se.Cfg.WithArch(t))
+		cfg := se.Cfg
+		cfg.Arch = t
+		derived[i] = se.Derive(cfg)
 	}
 	// Warm each target's matrix with the session's own parallelism;
 	// targets run in sequence so their SA-table characterizations don't

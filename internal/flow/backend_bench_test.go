@@ -72,7 +72,7 @@ func BenchmarkFlowBackend(b *testing.B) {
 	run := func(b *testing.B, memo bool) {
 		jobs := 1
 		if memo {
-			jobs = resolveJobs(cfg.MapJobs)
+			jobs = normJobs(cfg.MapJobs)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -104,8 +104,7 @@ func BenchmarkFlowBackend(b *testing.B) {
 			}
 			if _, err := stagePower.Exec(bgc, cache, powerIn{
 				name: p.Name, binder: BinderLOPASS.Name,
-				ma: ma, counts: counts, simKey: sk, model: cfg.Power,
-				proj: cfg.Arch.Projection, jobs: jobs,
+				ma: ma, counts: counts, simKey: sk, arch: cfg.Arch, jobs: jobs,
 			}, &tr); err != nil {
 				b.Fatal(err)
 			}

@@ -60,12 +60,12 @@ type Config struct {
 	// Arch is the target-architecture descriptor: the LUT input count
 	// the mapper covers with, the power model's constants, and an
 	// optional FPGA→ASIC projection applied to the final report. The
-	// arch owns the LUT input count — Normalize forces MapOpt.K to
-	// Arch.K — and its fingerprint participates in the bind, map, sim,
-	// and power stage cache keys (schedule/regbind are fabric-blind and
-	// shared across archs). Retarget with WithArch, which keeps Power
-	// and the SA tables consistent; a zero Arch normalizes to the
-	// default CycloneII.
+	// arch is the only description of the fabric: Normalize derives
+	// MapOpt.K, Power and the SA tables from it, and its fingerprint
+	// participates in the bind, map, sim, and power stage cache keys
+	// (schedule/regbind are fabric-blind and shared across archs).
+	// Retarget by setting Arch and normalizing; a zero Arch normalizes
+	// to the default CycloneII.
 	Arch arch.Target
 	// Width is the datapath bit width.
 	Width int
@@ -81,8 +81,8 @@ type Config struct {
 	// every session and run that can share it — DefaultConfig allocates
 	// fresh (empty) tables on every call, so build one Config and reuse
 	// it rather than calling DefaultConfig repeatedly. A nil or
-	// width-mismatched table is replaced by Normalize (sessions and the
-	// package-level Run entry points normalize automatically).
+	// width-mismatched table is replaced by Normalize (sessions
+	// normalize automatically).
 	Table *satable.Table
 	// BaselineTable is the zero-delay (glitch-blind) SA table the LOPASS
 	// baseline's power estimator uses. Same sharing contract as Table.
@@ -113,7 +113,8 @@ type Config struct {
 	Delay sim.DelayModel
 	// DelaySeed fixes the deterministic per-LUT delay assignment.
 	DelaySeed int64
-	// Power is the electrical/timing model.
+	// Power is the electrical/timing model. Normalize always derives it
+	// from Arch (power.FromArch), overwriting any value set here.
 	Power power.Model
 	// BindJobs is the binding engine's scoring worker-pool size (0 =
 	// GOMAXPROCS, 1 = serial). Non-semantic: bindings are bit-identical
@@ -163,8 +164,9 @@ type Config struct {
 func DefaultConfig() Config {
 	mapOpt := mapper.DefaultOptions()
 	mapOpt.Mode = mapper.ModeDepth
+	target := arch.CycloneII()
 	return Config{
-		Arch:          arch.CycloneII(),
+		Arch:          target,
 		Width:         8,
 		Vectors:       1000,
 		VectorSeed:    2009,
@@ -176,29 +178,26 @@ func DefaultConfig() Config {
 		MapOpt:        mapOpt,
 		Delay:         sim.DelayHeterogeneous,
 		DelaySeed:     7,
-		Power:         power.CycloneII(),
+		Power:         power.FromArch(target),
 	}
 }
 
 // Normalize returns the config with its architecture and SA-table
 // invariants restored: a zero Arch becomes the default CycloneII, the
-// mapper's LUT input count follows the arch (the arch owns K), a
-// zero-valued Power model is filled from the arch (a caller-tuned
-// Power is preserved), and a nil, width-mismatched, or arch-mismatched
-// Table/BaselineTable is replaced with a correctly characterized one.
-// This is the safety net for callers that adjust Width or Arch after
-// DefaultConfig (or build a Config by hand) and would otherwise
-// silently bind against tables characterized for the wrong fabric.
-// NewSession and the package-level Run entry points normalize
-// automatically; direct stage users should call it themselves.
+// mapper's LUT input count and the Power model follow the arch (the
+// arch is the single source of both), and a nil, width-mismatched, or
+// arch-mismatched Table/BaselineTable is replaced with a correctly
+// characterized one. This is the safety net for callers that adjust
+// Width or Arch after DefaultConfig (or build a Config by hand) and
+// would otherwise silently bind against tables characterized for the
+// wrong fabric. NewSession and Derive normalize automatically; direct
+// stage users should call it themselves.
 func (c Config) Normalize() Config {
 	if c.Arch.K == 0 {
 		c.Arch = arch.CycloneII()
 	}
 	c.MapOpt.K = c.Arch.K
-	if c.Power == (power.Model{}) {
-		c.Power = power.FromArch(c.Arch)
-	}
+	c.Power = power.FromArch(c.Arch)
 	if c.Table == nil || c.Table.Width != c.Width || c.Table.CheckArch(c.Arch) != nil {
 		c.Table = satable.NewForArch(c.Width, satable.EstimatorGlitch, c.Arch)
 	}
@@ -206,17 +205,6 @@ func (c Config) Normalize() Config {
 		c.BaselineTable = satable.NewForArch(c.Width, satable.EstimatorZeroDelay, c.Arch)
 	}
 	return c
-}
-
-// WithArch returns the config retargeted to t and normalized: the
-// mapper's K, the power model, and the SA tables all follow the new
-// descriptor. Unlike Normalize alone, WithArch rebuilds the Power model
-// unconditionally — retargeting means adopting the new fabric's
-// constants, not keeping the old ones.
-func (c Config) WithArch(t arch.Target) Config {
-	c.Arch = t
-	c.Power = power.FromArch(t)
-	return c.Normalize()
 }
 
 // Result is the full measurement record of one (benchmark, binder) run.
@@ -249,60 +237,6 @@ type Result struct {
 	// a Result served from a Session's run cache the trace is the one
 	// recorded when the run first executed.
 	StageTrace []pipeline.Span
-}
-
-// Run executes the full pipeline for one benchmark profile and binder,
-// scheduling to the paper's Table 2 cycle count. Each call is
-// self-contained (no artifact reuse); use a Session to share work
-// across runs. Cancellation-aware callers should use RunCtx.
-func Run(p workload.Profile, b Binder, cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), p, b, cfg)
-}
-
-// RunCtx is Run with cooperative cancellation: ctx flows through every
-// stage, and stage failures surface as *pipeline.StageError values
-// naming the stage and the (benchmark, binder) pair.
-func RunCtx(ctx context.Context, p workload.Profile, b Binder, cfg Config) (*Result, error) {
-	cfg = cfg.Normalize()
-	var tr pipeline.Trace
-	fe, err := stageSchedule.Exec(ctx, nil, p, &tr)
-	if err != nil {
-		return nil, err
-	}
-	r, err := runPipeline(ctx, nil, cfg, fe, p.Name, p.RC, b, &tr)
-	if err != nil {
-		return nil, err
-	}
-	r.StageTrace = tr.Spans()
-	return r, nil
-}
-
-// RunGraph executes the pipeline on an arbitrary CDFG with
-// resource-constrained list scheduling.
-func RunGraph(g *cdfg.Graph, name string, rc cdfg.ResourceConstraint, b Binder, cfg Config) (*Result, error) {
-	s, err := cdfg.ListSchedule(g, rc)
-	if err != nil {
-		return nil, fmt.Errorf("flow: %s: %w", name, err)
-	}
-	return RunScheduled(g, name, s, rc, b, cfg)
-}
-
-// RunScheduled executes the pipeline on a pre-scheduled CDFG.
-func RunScheduled(g *cdfg.Graph, name string, s *cdfg.Schedule, rc cdfg.ResourceConstraint, b Binder, cfg Config) (*Result, error) {
-	cfg = cfg.Normalize()
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("flow: %s: %w", name, err)
-	}
-	if err := cdfg.ValidateSchedule(g, s, rc); err != nil {
-		return nil, fmt.Errorf("flow: %s: %w", name, err)
-	}
-	var tr pipeline.Trace
-	r, err := runPipeline(context.Background(), nil, cfg, newSchedArtifact(g, s), name, rc, b, &tr)
-	if err != nil {
-		return nil, err
-	}
-	r.StageTrace = tr.Spans()
-	return r, nil
 }
 
 // Session caches pipeline runs so the table generators can share them
@@ -417,13 +351,9 @@ func (se *Session) Run(ctx context.Context, p workload.Profile, b Binder) (*Resu
 // recorded into tr as it completes — the daemon's progress streaming
 // attaches an observer to tr. A nil tr is Run.
 func (se *Session) RunTraced(ctx context.Context, p workload.Profile, b Binder, tr *pipeline.Trace) (*Result, error) {
-	v, _, err := se.runs.Do(ctx, runClass, se.runKey(p, b), func() (any, error) {
-		return se.runStaged(ctx, p, b, tr)
+	return se.run(ctx, se.runKey(p, b), p.Name, p.RC, b, tr, func(trs []*pipeline.Trace) (*schedArtifact, error) {
+		return stageSchedule.Exec(ctx, se.stages, p, trs...)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Result), nil
 }
 
 // RunGraphCtx executes the pipeline on an arbitrary CDFG through the
@@ -446,9 +376,28 @@ func (se *Session) RunGraphCtx(ctx context.Context, g *cdfg.Graph, name string, 
 	key := "graph|" + pipeline.NewHasher().
 		Str(fe.fp).Int(rc.Add).Int(rc.Mult).Str(specForBinder(b, se.Cfg).fp()).
 		Sum()
+	return se.run(ctx, key, name, rc, b, nil, func([]*pipeline.Trace) (*schedArtifact, error) {
+		return fe, nil
+	})
+}
+
+// run is the one execution path behind every run entry point: it
+// demands key from the run cache and, on a miss, obtains the scheduled
+// front end from front and executes the staged pipeline through the
+// session's stage cache. Stage spans go to the session trace, the
+// Result's own trace and, when non-nil, the caller's live trace.
+func (se *Session) run(ctx context.Context, key, name string, rc cdfg.ResourceConstraint, b Binder, live *pipeline.Trace, front func(trs []*pipeline.Trace) (*schedArtifact, error)) (*Result, error) {
 	v, _, err := se.runs.Do(ctx, runClass, key, func() (any, error) {
 		var tr pipeline.Trace
-		r, err := runPipeline(ctx, se.stages, se.Cfg, fe, name, rc, b, se.trace, &tr)
+		traces := []*pipeline.Trace{se.trace, &tr}
+		if live != nil {
+			traces = append(traces, live)
+		}
+		fe, err := front(traces)
+		if err != nil {
+			return nil, err
+		}
+		r, err := runPipeline(ctx, se.stages, se.Cfg, fe, name, rc, b, traces...)
 		if err != nil {
 			return nil, err
 		}
@@ -470,26 +419,6 @@ func (se *Session) Peek(p workload.Profile, b Binder) (*Result, bool) {
 		return nil, false
 	}
 	return v.(*Result), true
-}
-
-// runStaged executes one (benchmark, binder) pipeline through the
-// session's stage cache.
-func (se *Session) runStaged(ctx context.Context, p workload.Profile, b Binder, live *pipeline.Trace) (*Result, error) {
-	var tr pipeline.Trace
-	traces := []*pipeline.Trace{se.trace, &tr}
-	if live != nil {
-		traces = append(traces, live)
-	}
-	fe, err := stageSchedule.Exec(ctx, se.stages, p, traces...)
-	if err != nil {
-		return nil, err
-	}
-	r, err := runPipeline(ctx, se.stages, se.Cfg, fe, p.Name, p.RC, b, traces...)
-	if err != nil {
-		return nil, err
-	}
-	r.StageTrace = tr.Spans()
-	return r, nil
 }
 
 // frontEnd returns the session's shared scheduled graph and register

@@ -33,7 +33,7 @@ func smallSession() *Session {
 
 func TestRunProducesCompleteResult(t *testing.T) {
 	p, _ := workload.ByName("pr")
-	r, err := Run(p, BinderHLPower05, testConfig())
+	r, err := NewSession(testConfig()).Run(bgc, p, BinderHLPower05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestRunProducesCompleteResult(t *testing.T) {
 
 func TestRunGraphOnKernel(t *testing.T) {
 	g := workload.FIR(6)
-	r, err := RunGraph(g, "fir6", cdfg.ResourceConstraint{Add: 2, Mult: 2}, BinderLOPASS, testConfig())
+	r, err := NewSession(testConfig()).RunGraphCtx(bgc, g, "fir6", cdfg.ResourceConstraint{Add: 2, Mult: 2}, BinderLOPASS)
 	if err != nil {
 		t.Fatal(err)
 	}

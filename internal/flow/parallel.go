@@ -32,7 +32,8 @@ import (
 // Figure 3).
 var AllBinders = []Binder{BinderLOPASS, BinderHLPower1, BinderHLPower05}
 
-// normJobs resolves a worker-count request: <= 0 selects GOMAXPROCS.
+// normJobs resolves a worker-count request (Session.Jobs or a Config
+// worker knob): <= 0 selects GOMAXPROCS.
 func normJobs(jobs int) int {
 	if jobs <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -157,18 +158,12 @@ func (se *Session) sweepPairs(binders []Binder) []sweepPair {
 	return pairs
 }
 
-// RunAll executes every (benchmark, binder) pair of the session's sweep
-// on Session.Jobs workers (0 = GOMAXPROCS), filling the run cache. With
-// no binders given it runs the full paper matrix (AllBinders). Results
-// are identical to serial execution — every run is independently seeded
-// — and the first failure (in sweep order, see firstError) cancels the
-// in-flight remainder and is returned. Use Sweep for keep-going
-// semantics and a structured failure report.
+// RunAll is Sweep without KeepGoing, reporting only the error: it
+// fills the run cache with every (benchmark, binder) pair of the
+// session's sweep (no binders given = AllBinders), and the first failure
+// (in sweep order, see firstError) cancels the in-flight remainder and
+// is returned.
 func (se *Session) RunAll(ctx context.Context, binders ...Binder) error {
-	pairs := se.sweepPairs(binders)
-	errs := runItems(ctx, len(pairs), se.Jobs, true, func(ctx context.Context, i int) error {
-		_, err := se.Run(ctx, pairs[i].p, pairs[i].b)
-		return err
-	})
-	return firstError(errs)
+	_, err := se.Sweep(ctx, SweepOptions{Binders: binders})
+	return err
 }

@@ -26,7 +26,8 @@ func TestSparsePowerDelta(t *testing.T) {
 
 	exactCfg := testConfig()
 	exactCfg.BindExact = true
-	exact, err := RunGraph(g, "ctrl-500", rc, BinderHLPower05, exactCfg)
+	base := NewSession(exactCfg)
+	exact, err := base.RunGraphCtx(bgc, g, "ctrl-500", rc, BinderHLPower05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestSparsePowerDelta(t *testing.T) {
 
 	sparseCfg := testConfig()
 	sparseCfg.BindK = core.DefaultCandidateK
-	sparse, err := RunGraph(g, "ctrl-500", rc, BinderHLPower05, sparseCfg)
+	sparse, err := base.Derive(sparseCfg).RunGraphCtx(bgc, g, "ctrl-500", rc, BinderHLPower05)
 	if err != nil {
 		t.Fatal(err)
 	}

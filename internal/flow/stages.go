@@ -22,7 +22,6 @@ package flow
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/arch"
@@ -69,8 +68,8 @@ func profileKey(p workload.Profile) string {
 		Sum()
 }
 
-// contentFP fingerprints a scheduled graph by content, so externally
-// scheduled graphs (RunScheduled) share downstream artifacts with
+// contentFP fingerprints a scheduled graph by content, so ingested
+// graphs (RunGraphCtx) share downstream artifacts with
 // profile-generated ones when they coincide.
 func contentFP(g *cdfg.Graph, s *cdfg.Schedule) string {
 	h := pipeline.NewHasher()
@@ -213,9 +212,8 @@ type bindSpec struct {
 	workers int
 }
 
-// specForBinder resolves the mainline Binder configurations (flow.Run,
-// Session sweeps) against a config, mirroring the defaulting rules the
-// monolithic pipeline applied: zero-valued betas fall back to
+// specForBinder resolves a mainline Binder (every Session run and
+// sweep) against a config: zero-valued betas fall back to
 // core.DefaultOptions.
 func specForBinder(b Binder, cfg Config) bindSpec {
 	if !b.UseHLPower {
@@ -347,14 +345,15 @@ type powerIn struct {
 	ma     *mapArtifact
 	counts sim.Counts
 	simKey string
-	model  power.Model
+	// arch supplies the power model's constants and, when its
+	// Projection is set, the FPGA→ASIC gap factors applied inside the
+	// stage, so the cached artifact is the final (projected) report.
+	// The stage Key omits it: simKey already chains the map key, which
+	// carries the full arch fingerprint.
+	arch arch.Target
 	// jobs sizes the analyzer's chunked node scan (Config.MapJobs).
 	// Non-semantic, excluded from the stage Key.
 	jobs int
-	// proj, when non-nil, applies the arch's FPGA→ASIC gap factors to
-	// the analyzed report inside the stage, so the cached artifact is
-	// the final (projected) report.
-	proj *arch.Projection
 }
 
 // simKey derives the simulate stage's cache key; the power stage chains
@@ -364,21 +363,6 @@ func simKey(in simIn) string {
 		Str(in.ma.fp).Int(int(in.delay)).Int64(in.delaySeed).
 		Int(in.vectors).Int64(in.vectorSeed).
 		Sum()
-}
-
-func powerFP(m power.Model) string {
-	return pipeline.NewHasher().
-		F64(m.Vdd).F64(m.CLut).F64(m.CReg).F64(m.LUTDelayNs).F64(m.ClockOverheadNs).
-		Sum()
-}
-
-// projFP fingerprints an optional FPGA→ASIC projection (nil = native
-// FPGA report).
-func projFP(p *arch.Projection) string {
-	if p == nil {
-		return "none"
-	}
-	return pipeline.NewHasher().F64(p.AreaDiv).F64(p.PowerDiv).F64(p.FreqMult).Sum()
 }
 
 // ---------------------------------------------------------------------
@@ -610,25 +594,16 @@ var stageSim = pipeline.Stage[simIn, sim.Counts]{
 var stagePower = pipeline.Stage[powerIn, power.Report]{
 	Name: StagePower,
 	Key: func(in powerIn) string {
-		return pipeline.NewHasher().Str(in.simKey).Str(powerFP(in.model)).Str(projFP(in.proj)).Sum()
+		return pipeline.NewHasher().Str(in.simKey).Sum()
 	},
 	Scope: func(in powerIn) pipeline.Scope { return pipeline.Scope{Bench: in.name, Binder: in.binder} },
 	Run: func(_ context.Context, in powerIn) (power.Report, error) {
-		rep := in.model.AnalyzeJobs(in.ma.m.Mapped, in.counts, in.jobs)
-		if in.proj != nil {
-			rep = power.Project(*in.proj, rep)
+		rep := power.FromArch(in.arch).AnalyzeJobs(in.ma.m.Mapped, in.counts, in.jobs)
+		if p := in.arch.Projection; p != nil {
+			rep = power.Project(*p, rep)
 		}
 		return rep, nil
 	},
-}
-
-// resolveJobs maps the 0 = GOMAXPROCS convention of the Config worker
-// knobs to a concrete count.
-func resolveJobs(n int) int {
-	if n == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }
 
 // ---------------------------------------------------------------------
@@ -638,7 +613,7 @@ func resolveJobs(n int) int {
 // power) for one bound design. The ablation study and the mainline
 // pipeline share it.
 func runBackEnd(ctx context.Context, cache *pipeline.Cache, cfg Config, fe *schedArtifact, rba *regbindArtifact, ba *bindArtifact, name, binderName string, ms *modsel.Options, trs ...*pipeline.Trace) (*dpArtifact, *mapArtifact, sim.Counts, power.Report, error) {
-	jobs := resolveJobs(cfg.MapJobs)
+	jobs := normJobs(cfg.MapJobs)
 	dp, err := stageDatapath.Exec(ctx, cache, datapathIn{
 		name: name, binder: binderName, fe: fe, rba: rba, ba: ba,
 		width: cfg.Width, modsel: ms, jobs: jobs,
@@ -653,9 +628,7 @@ func runBackEnd(ctx context.Context, cache *pipeline.Cache, cfg Config, fe *sche
 	// runs and, with an attached store, across processes.
 	mopt := cfg.MapOpt
 	mopt.Jobs = jobs
-	if cache != nil {
-		mopt.Macros = mapper.NewMacroCache(cache, "macro@"+cfg.Arch.Fingerprint())
-	}
+	mopt.Macros = mapper.NewMacroCache(cache, "macro@"+cfg.Arch.Fingerprint())
 	ma, err := stageMap.Exec(ctx, cache, mapIn{
 		name: name, binder: binderName, dp: dp,
 		preOpt: cfg.PreOptimize, mapOpt: mopt,
@@ -676,8 +649,7 @@ func runBackEnd(ctx context.Context, cache *pipeline.Cache, cfg Config, fe *sche
 	}
 	rep, err := stagePower.Exec(ctx, cache, powerIn{
 		name: name, binder: binderName,
-		ma: ma, counts: counts, simKey: simKey(sin), model: cfg.Power,
-		proj: cfg.Arch.Projection, jobs: jobs,
+		ma: ma, counts: counts, simKey: simKey(sin), arch: cfg.Arch, jobs: jobs,
 	}, trs...)
 	if err != nil {
 		return nil, nil, sim.Counts{}, power.Report{}, err

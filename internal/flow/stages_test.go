@@ -16,6 +16,7 @@ import (
 	"repro/internal/mapper"
 	"repro/internal/modsel"
 	"repro/internal/pipeline"
+	"repro/internal/power"
 	"repro/internal/regbind"
 	"repro/internal/satable"
 	"repro/internal/sim"
@@ -363,10 +364,15 @@ func TestCacheKeySensitivity(t *testing.T) {
 			hit:    rest(StageSim, StagePower),
 		},
 		{
-			name:   "Power",
-			mutate: func(c *Config) { c.Power.Vdd *= 1.1 },
-			miss:   []string{StagePower},
-			hit:    rest(StagePower),
+			// A power constant reaches the flow only through Arch: the
+			// new arch fingerprint re-keys the SA tables (bind) and the
+			// whole measurement back end, while the fabric-blind front
+			// end and the content-addressed datapath (same K, same
+			// binding) are shared.
+			name:   "ArchVdd",
+			mutate: func(c *Config) { c.Arch.Vdd *= 1.1 },
+			miss:   []string{StageBind, StageMap, StageSim, StagePower},
+			hit:    []string{StageSchedule, StageRegbind, StageDatapath},
 		},
 		{
 			name:   "MapOpt",
@@ -415,7 +421,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 			// Datapath is content-addressed (K=6 binds may or may not
 			// coincide) and deliberately unasserted.
 			name:   "Arch",
-			mutate: func(c *Config) { *c = c.WithArch(arch.StratixLike6LUT()) },
+			mutate: func(c *Config) { c.Arch = arch.StratixLike6LUT() },
 			miss:   []string{StageBind, StageMap, StageSim, StagePower},
 			hit:    []string{StageSchedule, StageRegbind},
 		},
@@ -428,7 +434,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 			// acceptance property: map/sim/power keys distinct per arch
 			// even when the mapped netlist would be identical.
 			name:   "ArchProjection",
-			mutate: func(c *Config) { *c = c.WithArch(arch.ASICProjected(arch.CycloneII())) },
+			mutate: func(c *Config) { c.Arch = arch.ASICProjected(arch.CycloneII()) },
 			miss:   []string{StageBind, StageMap, StageSim, StagePower},
 			hit:    []string{StageSchedule, StageRegbind, StageDatapath},
 		},
@@ -526,6 +532,35 @@ func TestNormalizeTables(t *testing.T) {
 	zero.Width = 4
 	if z := zero.Normalize(); z.Table == nil || z.BaselineTable == nil {
 		t.Fatal("Normalize left nil tables")
+	}
+}
+
+// TestNormalizeDerivesFromArch pins Arch as the single description of
+// the fabric: a hand-set Power model or mapper K never survives
+// Normalize, and both follow a retargeted Arch.
+func TestNormalizeDerivesFromArch(t *testing.T) {
+	cfg := DefaultConfig()
+	if want := power.FromArch(cfg.Arch); cfg.Power != want {
+		t.Errorf("DefaultConfig Power %+v, want %+v (derived from Arch)", cfg.Power, want)
+	}
+	cfg.Power.Vdd = 5
+	cfg.MapOpt.K = 6
+	n := cfg.Normalize()
+	if want := power.FromArch(arch.CycloneII()); n.Power != want {
+		t.Errorf("Normalize kept a hand-set Power %+v, want %+v", n.Power, want)
+	}
+	if n.MapOpt.K != 4 {
+		t.Errorf("Normalize kept a hand-set MapOpt.K %d, want 4", n.MapOpt.K)
+	}
+
+	cfg.Arch = arch.StratixLike6LUT()
+	cfg.MapOpt.K = 4
+	n = cfg.Normalize()
+	if want := power.FromArch(arch.StratixLike6LUT()); n.Power != want {
+		t.Errorf("retargeted Power %+v, want %+v", n.Power, want)
+	}
+	if n.MapOpt.K != 6 {
+		t.Errorf("retargeted MapOpt.K %d, want 6", n.MapOpt.K)
 	}
 }
 

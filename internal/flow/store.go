@@ -38,7 +38,8 @@ import (
 // configuration: every field that influences any stage's output (the
 // worker-count and lane-width knobs, which are bit-identical at every
 // setting, are excluded, exactly as they are from stage cache keys).
-// Equal fingerprints mean a run result computed under one Config is
+// Power and MapOpt.K are derived from Arch, so the arch fingerprint
+// covers them. Equal fingerprints mean a run result computed under one Config is
 // valid under the other — the contract the durable store's
 // run@<fingerprint> class namespace enforces.
 func (c Config) Fingerprint() string {
@@ -50,8 +51,7 @@ func (c Config) Fingerprint() string {
 		F64(c.BetaAdd).F64(c.BetaMult).
 		Int(c.BindK).Bool(c.BindExact).
 		Str(modselFP(resolveModSel(c))).Bool(c.PreOptimize).
-		Int(int(c.Delay)).Int64(c.DelaySeed).
-		Str(powerFP(c.Power)).Str(projFP(c.Arch.Projection))
+		Int(int(c.Delay)).Int64(c.DelaySeed)
 	return mapOptFPInto(h, c.MapOpt).Sum()
 }
 

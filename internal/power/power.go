@@ -23,6 +23,7 @@ import (
 )
 
 // Model holds the electrical and timing constants of the target fabric.
+// Build it from the fabric's arch.Target with FromArch.
 type Model struct {
 	// Vdd is the core supply voltage in volts.
 	Vdd float64
@@ -37,18 +38,11 @@ type Model struct {
 	ClockOverheadNs float64
 }
 
-// CycloneII returns constants calibrated for the Altera Cyclone II
-// (90 nm, 4-input LUTs, 1.2 V) — the paper's testbed architecture.
-// Identical to FromArch(arch.CycloneII()); kept as the historical
-// constructor.
-func CycloneII() Model {
-	return FromArch(arch.CycloneII())
-}
-
 // FromArch builds the power model from a target-architecture
-// descriptor. The descriptor's Projection block is not consumed here —
-// Analyze always reports the FPGA-fabric numbers; apply the projection
-// afterwards with Project.
+// descriptor; FromArch(arch.CycloneII()) is the paper's testbed. The
+// descriptor's Projection block is not consumed here — Analyze always
+// reports the FPGA-fabric numbers; apply the projection afterwards with
+// Project.
 func FromArch(t arch.Target) Model {
 	return Model{
 		Vdd:             t.Vdd,

@@ -23,10 +23,10 @@ func TestFromArchMatchesCycloneII(t *testing.T) {
 	if got := FromArch(arch.CycloneII()); got != want {
 		t.Errorf("FromArch(CycloneII) = %+v, want %+v", got, want)
 	}
-	if got := CycloneII(); got != want {
-		t.Errorf("CycloneII() = %+v, want %+v", got, want)
-	}
 }
+
+// cycloneII is the paper's testbed model.
+func cycloneII() Model { return FromArch(arch.CycloneII()) }
 
 // TestProjectAppliesGapFactors checks the FPGA→ASIC rescale: power ÷14
 // (iso-frequency), period ÷3.4, activity metrics untouched.
@@ -53,7 +53,7 @@ func TestProjectAppliesGapFactors(t *testing.T) {
 }
 
 func TestClockPeriodScalesWithDepth(t *testing.T) {
-	m := CycloneII()
+	m := cycloneII()
 	if m.ClockPeriodNs(0) != m.ClockOverheadNs {
 		t.Fatal("zero-depth period should be pure overhead")
 	}
@@ -82,12 +82,12 @@ func TestAnalyzeProducesConsistentReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := s.RunRandom(1000, 21)
-	rep := CycloneII().Analyze(res.Mapped, counts)
+	rep := cycloneII().Analyze(res.Mapped, counts)
 
 	if rep.DynamicPowerMW <= 0 {
 		t.Fatal("dynamic power should be positive")
 	}
-	if rep.ClockPeriodNs <= CycloneII().ClockOverheadNs {
+	if rep.ClockPeriodNs <= cycloneII().ClockOverheadNs {
 		t.Fatal("clock period should include logic depth")
 	}
 	if rep.AvgToggleRateMHz <= 0 {
@@ -107,7 +107,7 @@ func TestAnalyzeZeroCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := CycloneII().Analyze(res.Mapped, sim.Counts{})
+	rep := cycloneII().Analyze(res.Mapped, sim.Counts{})
 	if rep.DynamicPowerMW != 0 {
 		t.Fatal("no cycles should mean no measured power")
 	}
@@ -125,7 +125,7 @@ func TestPowerScalesWithActivity(t *testing.T) {
 	}
 	c1 := sim.Counts{Gate: 1000, GateFunctional: 800, Latch: 100, Cycles: 100}
 	c2 := sim.Counts{Gate: 2000, GateFunctional: 1600, Latch: 200, Cycles: 100}
-	m := CycloneII()
+	m := cycloneII()
 	p1 := m.Analyze(res.Mapped, c1).DynamicPowerMW
 	p2 := m.Analyze(res.Mapped, c2).DynamicPowerMW
 	if math.Abs(p2-2*p1) > 1e-9 {
@@ -141,7 +141,7 @@ func TestDynamicPowerEquation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := CycloneII()
+	m := cycloneII()
 	counts := sim.Counts{Gate: 500, GateFunctional: 500, Cycles: 100}
 	period := m.ClockPeriodNs(res.Mapped.Depth())
 	f := 1e9 / period

@@ -106,7 +106,7 @@ func (o configOverrides) apply(base flow.Config) (flow.Config, error) {
 		if !ok {
 			return cfg, badRequest("unknown arch %q (want k4, k6, or asic)", o.Arch)
 		}
-		cfg = cfg.WithArch(t)
+		cfg.Arch = t
 	}
 	if o.Width > satable.MaxLoadWidth {
 		return cfg, badRequest("width %d exceeds the maximum %d", o.Width, satable.MaxLoadWidth)
@@ -493,12 +493,12 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) error {
 	nSessions := len(s.sessions)
 	s.mu.Unlock()
 	st := Statsz{
-		InFlight: s.load.Load(),
-		Requests: s.requests.Load(),
-		Shed:     s.shed.Load(),
-		Panics:   s.panics.Load(),
-		WarmHits: s.warmHits.Load(),
-		Sessions: nSessions,
+		InFlight:       s.load.Load(),
+		Requests:       s.requests.Load(),
+		Shed:           s.shed.Load(),
+		Panics:         s.panics.Load(),
+		WarmHits:       s.warmHits.Load(),
+		Sessions:       nSessions,
 		Draining:       s.draining.Load(),
 		Stages:         s.base.StageStats(),
 		StageWallclock: s.base.StageWallclock(),

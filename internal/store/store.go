@@ -58,8 +58,11 @@ import (
 )
 
 // formatLine is the first header line of every entry and the content of
-// the store's format file; bump the version when the layout changes.
-const formatLine = "hlpower-store v1"
+// the store's format file; bump the version when the layout changes or
+// when the flow changes the keys it stores entries under. v2: the power
+// stage key and the run@<config fingerprint> class no longer hash a
+// power model apart from the arch, so v1 entries would sit unreachable.
+const formatLine = "hlpower-store v2"
 
 // Options configures Open.
 type Options struct {

@@ -1,9 +1,10 @@
 // Package timing implements static timing analysis over mapped LUT
 // networks: arrival times under a LUT + fanout-loaded wire delay model,
-// required times, slacks, and critical-path extraction. It refines the
-// depth-only clock-period estimate in internal/power with the per-node
-// detail a Quartus timing report provides (§6.1 runs full timing
-// analysis as part of the flow).
+// critical-path extraction, and multi-cycle clock periods. It refines
+// the depth-only clock-period estimate in internal/power with the
+// per-node detail a Quartus timing report provides (§6.1 runs full
+// timing analysis as part of the flow), for cmd/mapnet -timing and
+// examples/multicycle.
 package timing
 
 import (
@@ -11,6 +12,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/arch"
 	"repro/internal/logic"
 )
 
@@ -26,18 +28,23 @@ type Model struct {
 	ClockOverheadNs float64
 }
 
-// CycloneII returns constants consistent with internal/power's model
-// (0.9 ns split between cell and nominal wire load).
-func CycloneII() Model {
-	return Model{LUTDelayNs: 0.45, WirePerFanoutNs: 0.15, ClockOverheadNs: 3.0}
+// FromArch derives the delay model from a target architecture: the
+// arch's per-level LUT+routing delay splits evenly between the cell and
+// the wire load of a nominal fanout-of-4 driver (1+log2(4) = 3 wire
+// units), and the clock overhead carries over. For Cyclone II that is
+// 0.45 ns per cell, 0.15 ns per wire unit and 3.0 ns overhead.
+func FromArch(t arch.Target) Model {
+	return Model{
+		LUTDelayNs:      t.LUTDelayNs / 2,
+		WirePerFanoutNs: t.LUTDelayNs / 6,
+		ClockOverheadNs: t.ClockOverheadNs,
+	}
 }
 
 // Analysis is a completed timing analysis.
 type Analysis struct {
 	// Arrival is the worst-case arrival time (ns) at each node's output.
 	Arrival []float64
-	// Slack is the timing slack of each node against the critical sink.
-	Slack []float64
 	// CriticalPath lists node IDs from a source to the critical sink.
 	CriticalPath []int
 	// CritFanin records, per node, the fanin on its worst arrival path
@@ -52,10 +59,7 @@ type Analysis struct {
 // Analyze runs STA on the combinational view of the network.
 func Analyze(net *logic.Network, m Model) *Analysis {
 	n := net.NumNodes()
-	a := &Analysis{
-		Arrival: make([]float64, n),
-		Slack:   make([]float64, n),
-	}
+	a := &Analysis{Arrival: make([]float64, n)}
 	fanouts := net.FanoutCounts()
 	// Output delay of a node once it computes: cell + buffered wire load.
 	outDelay := func(id int) float64 {
@@ -104,50 +108,8 @@ func Analyze(net *logic.Network, m Model) *Analysis {
 		}
 	}
 	a.PeriodNs = a.CriticalNs + m.ClockOverheadNs
-
-	// Required times / slack via reverse propagation.
-	required := make([]float64, n)
-	for i := range required {
-		required[i] = a.CriticalNs
-	}
-	order := net.TopoOrder()
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
-		nd := net.Node(id)
-		if nd.Kind != logic.KindGate {
-			continue
-		}
-		for _, f := range nd.Fanins {
-			if r := required[id] - outDelay(id); r < required[f] {
-				required[f] = r
-			}
-		}
-	}
-	for id := range a.Slack {
-		a.Slack[id] = required[id] - a.Arrival[id]
-	}
-
-	// Critical path extraction.
-	for id := sink; id >= 0; id = critFanin[id] {
-		a.CriticalPath = append(a.CriticalPath, id)
-	}
-	// Reverse into source→sink order.
-	for i, j := 0, len(a.CriticalPath)-1; i < j; i, j = i+1, j-1 {
-		a.CriticalPath[i], a.CriticalPath[j] = a.CriticalPath[j], a.CriticalPath[i]
-	}
+	a.CriticalPath = a.PathTo(sink)
 	return a
-}
-
-// MultiCyclePeriodNs returns the clock period when the worst
-// combinational cone is allowed `cycles` clock periods to settle (the
-// multi-cycle-path timing exception the latency extension exploits):
-// the combinational delay amortizes over the allowance while the
-// overhead is paid once per cycle.
-func MultiCyclePeriodNs(an *Analysis, m Model, cycles int) float64 {
-	if cycles < 1 {
-		cycles = 1
-	}
-	return an.CriticalNs/float64(cycles) + m.ClockOverheadNs
 }
 
 // Report renders a human-readable timing summary with the named
