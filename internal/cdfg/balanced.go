@@ -16,7 +16,7 @@ import "fmt"
 // constraint makes the target infeasible the schedule is lengthened
 // until the forced operations fit.
 func BalancedSchedule(g *Graph, rc ResourceConstraint, targetLen int) (*Schedule, error) {
-	asap := ASAP(g)
+	asap := ASAP(g, Library{})
 	if targetLen < asap.Len {
 		targetLen = asap.Len
 	}
@@ -36,7 +36,7 @@ func BalancedSchedule(g *Graph, rc ResourceConstraint, targetLen int) (*Schedule
 }
 
 func balancedAttempt(g *Graph, rc ResourceConstraint, targetLen int) (*Schedule, bool) {
-	alap, err := ALAP(g, targetLen)
+	alap, err := ALAP(g, Library{}, targetLen)
 	if err != nil {
 		return nil, false
 	}

@@ -32,7 +32,7 @@ func TestBalancedScheduleMeetsTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := balancedTestGraph(rng, 30)
 	rc := ResourceConstraint{Add: 3, Mult: 3}
-	asap := ASAP(g)
+	asap := ASAP(g, Library{})
 	target := asap.Len + 10
 	s, err := BalancedSchedule(g, rc, target)
 	if err != nil {

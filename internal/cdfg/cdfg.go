@@ -1,10 +1,11 @@
 // Package cdfg implements the scheduled control/data-flow graphs that
 // are the input to high-level binding (paper §3). Nodes are primary
-// inputs or single-cycle arithmetic operations (additions/subtractions
-// and multiplications — the two classes present in the paper's
+// inputs or arithmetic operations (additions/subtractions and
+// multiplications — the two classes present in the paper's
 // benchmarks); edges carry values. The package provides ASAP/ALAP and
-// resource-constrained list scheduling, lifetime analysis for register
-// binding, validation, and DOT export.
+// resource-constrained list scheduling under a resource Library (the
+// zero Library is the paper's single-cycle one), lifetime analysis for
+// register binding, validation, and DOT export.
 package cdfg
 
 import (

@@ -61,7 +61,7 @@ func TestValidateCatchesDeadOp(t *testing.T) {
 
 func TestASAPRespectsPrecedence(t *testing.T) {
 	g, _ := figure1Graph()
-	s := ASAP(g)
+	s := ASAP(g, Library{})
 	if s.Len != 3 {
 		t.Fatalf("ASAP length = %d, want 3", s.Len)
 	}
@@ -72,7 +72,7 @@ func TestASAPRespectsPrecedence(t *testing.T) {
 
 func TestALAPPushesLate(t *testing.T) {
 	g, _ := figure1Graph()
-	s, err := ALAP(g, 5)
+	s, err := ALAP(g, Library{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestALAPPushesLate(t *testing.T) {
 			t.Fatalf("output op %d at step %d, want 5", o, s.Step[o])
 		}
 	}
-	if _, err := ALAP(g, 2); err == nil {
+	if _, err := ALAP(g, Library{}, 2); err == nil {
 		t.Fatal("ALAP below critical path must fail")
 	}
 }
@@ -115,8 +115,8 @@ func TestListScheduleUnboundedMatchesASAPLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len != ASAP(g).Len {
-		t.Fatalf("unbounded list schedule length %d != ASAP %d", s.Len, ASAP(g).Len)
+	if s.Len != ASAP(g, Library{}).Len {
+		t.Fatalf("unbounded list schedule length %d != ASAP %d", s.Len, ASAP(g, Library{}).Len)
 	}
 }
 

@@ -1,7 +1,5 @@
 package cdfg
 
-import "fmt"
-
 // Library describes per-class resource latencies in cycles. The paper's
 // experiments use a single-cycle library (§6.1) and its future work
 // names better multi-cycle support (§7); this reproduction implements
@@ -67,189 +65,4 @@ func (l Library) OperandHold(k NodeKind) int {
 		return 1
 	}
 	return l.Latency(k)
-}
-
-// ListScheduleLat performs resource-constrained list scheduling with
-// multi-cycle, non-pipelined resources: an operation starting at step t
-// occupies one unit of its class for steps t..t+latency-1, and its
-// value becomes available at step t+latency.
-func ListScheduleLat(g *Graph, rc ResourceConstraint, lib Library) (*Schedule, error) {
-	for _, id := range g.Ops() {
-		if rc.Limit(g.Nodes[id].Kind.FUClass()) <= 0 {
-			return nil, fmt.Errorf("cdfg: resource constraint has no %s units", g.Nodes[id].Kind.FUClass())
-		}
-	}
-	s := &Schedule{Step: make([]int, len(g.Nodes)), Lib: lib}
-	scheduled := make([]bool, len(g.Nodes))
-	for _, id := range g.Inputs {
-		scheduled[id] = true
-	}
-	// Urgency from a latency-aware ALAP against the latency-aware ASAP
-	// length.
-	asapLen := asapLat(g, lib, s0(g))
-	alap := alapLat(g, lib, asapLen)
-
-	// occupancy[isMult][t] counts units of the class busy at step t.
-	occupancy := map[bool]map[int]int{false: {}, true: {}}
-	remaining := len(g.Ops())
-	step := 0
-	for remaining > 0 {
-		step++
-		var ready []int
-		for _, id := range g.Ops() {
-			if scheduled[id] {
-				continue
-			}
-			ok := true
-			for _, a := range g.Nodes[id].Args {
-				if !scheduled[a] {
-					ok = false
-					break
-				}
-				if g.Nodes[a].Kind.IsOp() && s.Completion(g, a) >= step {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				ready = append(ready, id)
-			}
-		}
-		sortByKey(ready, func(id int) int { return alap[id]*len(g.Nodes) + id })
-		for _, id := range ready {
-			kind := g.Nodes[id].Kind
-			isMult := kind == KindMult
-			limit := rc.Add
-			if isMult {
-				limit = rc.Mult
-			}
-			lat := lib.Latency(kind)
-			occ := lat
-			if isMult && lib.MultPipelined {
-				occ = 1
-			}
-			fits := true
-			for t := step; t < step+occ; t++ {
-				if occupancy[isMult][t] >= limit {
-					fits = false
-					break
-				}
-			}
-			if !fits {
-				continue
-			}
-			for t := step; t < step+occ; t++ {
-				occupancy[isMult][t]++
-			}
-			s.Step[id] = step
-			scheduled[id] = true
-			remaining--
-			if c := step + lat - 1; c > s.Len {
-				s.Len = c
-			}
-		}
-		if step > 8*len(g.Nodes)+16 {
-			return nil, fmt.Errorf("cdfg: multi-cycle list scheduling did not converge")
-		}
-	}
-	if s.Len < step {
-		s.Len = step
-	}
-	return s, nil
-}
-
-// s0 builds an empty schedule shell used by the latency-aware ASAP/ALAP
-// helpers (they only need Step storage).
-func s0(g *Graph) *Schedule {
-	return &Schedule{Step: make([]int, len(g.Nodes))}
-}
-
-// asapLat computes the latency-aware ASAP start steps into sched.Step
-// and returns the overall completion length.
-func asapLat(g *Graph, lib Library, sched *Schedule) int {
-	length := 0
-	for _, n := range g.Nodes {
-		if !n.Kind.IsOp() {
-			sched.Step[n.ID] = 0
-			continue
-		}
-		start := 1
-		for _, a := range n.Args {
-			an := g.Nodes[a]
-			if !an.Kind.IsOp() {
-				continue
-			}
-			ready := sched.Step[a] + lib.Latency(an.Kind) // first step after completion
-			if ready > start {
-				start = ready
-			}
-		}
-		sched.Step[n.ID] = start
-		if c := start + lib.Latency(n.Kind) - 1; c > length {
-			length = c
-		}
-	}
-	return length
-}
-
-// alapLat computes latency-aware ALAP start steps for a target length.
-func alapLat(g *Graph, lib Library, length int) []int {
-	alap := make([]int, len(g.Nodes))
-	consumers := g.Consumers()
-	for id := len(g.Nodes) - 1; id >= 0; id-- {
-		n := g.Nodes[id]
-		if !n.Kind.IsOp() {
-			continue
-		}
-		late := length - lib.Latency(n.Kind) + 1
-		for _, c := range consumers[id] {
-			if v := alap[c] - lib.Latency(n.Kind); v < late {
-				late = v
-			}
-		}
-		alap[id] = late
-	}
-	return alap
-}
-
-// ValidateScheduleLat checks a multi-cycle schedule: starts in range,
-// completions within the schedule, latency-aware precedence, and
-// per-step class occupancy within the constraint.
-func ValidateScheduleLat(g *Graph, s *Schedule, rc ResourceConstraint) error {
-	occupancy := map[bool]map[int]int{false: {}, true: {}}
-	for _, n := range g.Nodes {
-		if !n.Kind.IsOp() {
-			continue
-		}
-		start := s.Step[n.ID]
-		comp := s.Completion(g, n.ID)
-		if start < 1 || comp > s.Len {
-			return fmt.Errorf("cdfg: op %d occupies steps %d..%d outside 1..%d", n.ID, start, comp, s.Len)
-		}
-		for _, a := range n.Args {
-			an := g.Nodes[a]
-			if an.Kind.IsOp() && s.Completion(g, a) >= start {
-				return fmt.Errorf("cdfg: op %d starts at %d before arg %d completes at %d", n.ID, start, a, s.Completion(g, a))
-			}
-		}
-		isMult := n.Kind == KindMult
-		for t := start; t <= s.BusyUntil(g, n.ID); t++ {
-			occupancy[isMult][t]++
-		}
-	}
-	check := func(isMult bool, limit int) error {
-		if limit <= 0 {
-			return nil
-		}
-		for t, c := range occupancy[isMult] {
-			if c > limit {
-				return fmt.Errorf("cdfg: step %d uses %d units (limit %d)", t, c, limit)
-			}
-		}
-		return nil
-	}
-	if err := check(false, rc.Add); err != nil {
-		return err
-	}
-	return check(true, rc.Mult)
 }

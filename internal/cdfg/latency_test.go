@@ -49,7 +49,7 @@ func TestListScheduleLatRespectsLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateScheduleLat(g, s, ResourceConstraint{Add: 1, Mult: 1}); err != nil {
+	if err := ValidateSchedule(g, s, ResourceConstraint{Add: 1, Mult: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Step[add] <= s.Completion(g, m) {
@@ -82,26 +82,6 @@ func TestListScheduleLatSerializesOnOneUnit(t *testing.T) {
 	}
 }
 
-func TestListScheduleLatMatchesSingleCycleListSchedule(t *testing.T) {
-	// With the single-cycle library the two schedulers agree on length.
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 10; trial++ {
-		g := randomLatGraph(rng, 15+rng.Intn(20))
-		rc := ResourceConstraint{Add: 2, Mult: 2}
-		s1, err := ListSchedule(g, rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err := ListScheduleLat(g, rc, SingleCycle())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s1.Len != s2.Len {
-			t.Fatalf("lengths differ: %d vs %d", s1.Len, s2.Len)
-		}
-	}
-}
-
 func TestRandomLatSchedulesValid(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -112,7 +92,7 @@ func TestRandomLatSchedulesValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return ValidateScheduleLat(g, s, rc) == nil
+		return ValidateSchedule(g, s, rc) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -140,6 +120,10 @@ func TestLatencyLifetimes(t *testing.T) {
 	}
 }
 
+// TestValidateScheduleLatCatchesViolations checks ValidateSchedule's
+// latency rules: operands must complete before a consumer starts,
+// operations must complete within Len, and a unit is occupied for its
+// whole latency.
 func TestValidateScheduleLatCatchesViolations(t *testing.T) {
 	g := NewGraph("bad")
 	a := g.AddInput("a")
@@ -152,13 +136,13 @@ func TestValidateScheduleLatCatchesViolations(t *testing.T) {
 	// Consumer starts before the mult completes.
 	s := &Schedule{Step: make([]int, len(g.Nodes)), Len: 4, Lib: lib}
 	s.Step[m], s.Step[add] = 1, 2 // mult occupies 1..2
-	if err := ValidateScheduleLat(g, s, ResourceConstraint{}); err == nil {
+	if err := ValidateSchedule(g, s, ResourceConstraint{}); err == nil {
 		t.Fatal("precedence violation not caught")
 	}
 	// Completion past the schedule end.
 	s.Step[m], s.Step[add] = 4, 5
 	s.Len = 4
-	if err := ValidateScheduleLat(g, s, ResourceConstraint{}); err == nil {
+	if err := ValidateSchedule(g, s, ResourceConstraint{}); err == nil {
 		t.Fatal("overrun not caught")
 	}
 	// Occupancy over the constraint.
@@ -171,8 +155,31 @@ func TestValidateScheduleLatCatchesViolations(t *testing.T) {
 	g2.MarkOutput(o2)
 	s2 := &Schedule{Step: make([]int, len(g2.Nodes)), Len: 3, Lib: lib}
 	s2.Step[o1], s2.Step[o2] = 1, 2 // occupations 1..2 and 2..3 overlap at 2
-	if err := ValidateScheduleLat(g2, s2, ResourceConstraint{Add: 1, Mult: 1}); err == nil {
+	if err := ValidateSchedule(g2, s2, ResourceConstraint{Add: 1, Mult: 1}); err == nil {
 		t.Fatal("occupancy violation not caught")
+	}
+}
+
+// TestValidateScheduleUsesLibrary checks that validation reads the
+// schedule's own library: steps that are valid single-cycle become
+// invalid once the multiply takes two cycles, because the add at step 2
+// would read the product before it completes.
+func TestValidateScheduleUsesLibrary(t *testing.T) {
+	g := NewGraph("lib")
+	a := g.AddInput("a")
+	b := g.AddInput("b")
+	m := g.AddOp(KindMult, "m", a, b)
+	add := g.AddOp(KindAdd, "add", m, a)
+	g.MarkOutput(add)
+	rc := ResourceConstraint{Add: 1, Mult: 1}
+	s := &Schedule{Step: make([]int, len(g.Nodes)), Len: 2}
+	s.Step[m], s.Step[add] = 1, 2
+	if err := ValidateSchedule(g, s, rc); err != nil {
+		t.Fatalf("single-cycle: %v", err)
+	}
+	s.Lib = twoCycleMult()
+	if err := ValidateSchedule(g, s, rc); err == nil {
+		t.Fatal("add reading an incomplete 2-cycle multiply accepted")
 	}
 }
 

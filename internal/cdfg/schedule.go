@@ -6,9 +6,12 @@ import (
 	"repro/internal/netgen"
 )
 
-// Schedule assigns every operation a control step in 1..Len. Inputs are
-// available from step 0. All library resources are single-cycle (paper
-// §6.1), so an operation occupies exactly its assigned step.
+// Schedule assigns every operation a start step in 1..Len. Inputs are
+// available from step 0. Lib gives each operation its latency: an
+// operation started at step t completes at t+latency-1 and its value is
+// available from the following step. The zero Library is the paper's
+// single-cycle library (§6.1), under which an operation occupies exactly
+// its assigned step.
 type Schedule struct {
 	// Step is each operation's start step (1..Len); 0 for inputs.
 	Step []int
@@ -37,81 +40,95 @@ func (rc ResourceConstraint) Limit(class netgen.FUKind) int {
 	return 0
 }
 
-// ASAP returns the as-soon-as-possible schedule (unlimited resources).
-func ASAP(g *Graph) *Schedule {
-	s := &Schedule{Step: make([]int, len(g.Nodes))}
+// ASAP returns the as-soon-as-possible schedule under lib with
+// unlimited resources: every operation starts the step after its last
+// operand completes.
+func ASAP(g *Graph, lib Library) *Schedule {
+	s := &Schedule{Step: make([]int, len(g.Nodes)), Lib: lib}
 	for _, n := range g.Nodes {
 		if !n.Kind.IsOp() {
-			s.Step[n.ID] = 0
 			continue
 		}
-		max := 0
+		start := 1
 		for _, a := range n.Args {
-			if s.Step[a] > max {
-				max = s.Step[a]
+			if g.Nodes[a].Kind.IsOp() {
+				start = max(start, s.Completion(g, a)+1)
 			}
 		}
-		s.Step[n.ID] = max + 1
-		if s.Step[n.ID] > s.Len {
-			s.Len = s.Step[n.ID]
-		}
+		s.Step[n.ID] = start
+		s.Len = max(s.Len, s.Completion(g, n.ID))
 	}
 	return s
 }
 
-// ALAP returns the as-late-as-possible schedule for a target length L
-// (which must be >= the critical path length).
-func ALAP(g *Graph, L int) (*Schedule, error) {
-	asap := ASAP(g)
-	if L < asap.Len {
+// ALAP returns the as-late-as-possible schedule under lib for a target
+// length L, which must be at least the ASAP length: every operation
+// completes the step before its earliest consumer starts, or at L.
+func ALAP(g *Graph, lib Library, L int) (*Schedule, error) {
+	if asap := ASAP(g, lib); L < asap.Len {
 		return nil, fmt.Errorf("cdfg: ALAP length %d below critical path %d", L, asap.Len)
 	}
-	s := &Schedule{Step: make([]int, len(g.Nodes)), Len: L}
+	s := &Schedule{Step: make([]int, len(g.Nodes)), Len: L, Lib: lib}
 	consumers := g.Consumers()
 	for id := len(g.Nodes) - 1; id >= 0; id-- {
 		n := g.Nodes[id]
 		if !n.Kind.IsOp() {
-			s.Step[id] = 0
 			continue
 		}
-		late := L
+		lat := lib.Latency(n.Kind)
+		late := L - lat + 1
 		for _, c := range consumers[id] {
-			if s.Step[c]-1 < late {
-				late = s.Step[c] - 1
-			}
+			late = min(late, s.Step[c]-lat)
 		}
 		s.Step[id] = late
 	}
 	return s, nil
 }
 
-// ListSchedule performs resource-constrained list scheduling with
-// ALAP-slack priority (most urgent first). It returns the schedule, or
-// an error if the constraint has a zero entry for a class that is used.
+// ListSchedule list-schedules g under rc with the paper's single-cycle
+// library.
 func ListSchedule(g *Graph, rc ResourceConstraint) (*Schedule, error) {
-	asap := ASAP(g)
-	alap, err := ALAP(g, asap.Len)
+	return ListScheduleLat(g, rc, Library{})
+}
+
+// ListScheduleLat performs resource-constrained list scheduling under
+// lib with ALAP-slack priority (most urgent first). An operation
+// starting at step t occupies one unit of its class from t through its
+// BusyUntil step, and its value becomes available at step t+latency. It
+// returns the schedule, or an error if the constraint has a zero entry
+// for a class that is used.
+func ListScheduleLat(g *Graph, rc ResourceConstraint, lib Library) (*Schedule, error) {
+	// A fully serial schedule takes the summed latencies; list
+	// scheduling never idles every unit while an operation is ready,
+	// so it cannot take longer.
+	maxSteps := 0
+	for _, id := range g.Ops() {
+		kind := g.Nodes[id].Kind
+		if rc.Limit(kind.FUClass()) <= 0 {
+			return nil, fmt.Errorf("cdfg: resource constraint has no %s units", kind.FUClass())
+		}
+		maxSteps += lib.Latency(kind)
+	}
+	alap, err := ALAP(g, lib, ASAP(g, lib).Len)
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range g.Ops() {
-		class := g.Nodes[id].Kind.FUClass()
-		if rc.Limit(class) <= 0 {
-			return nil, fmt.Errorf("cdfg: resource constraint has no %s units", class)
-		}
-	}
 
-	s := &Schedule{Step: make([]int, len(g.Nodes))}
+	s := &Schedule{Step: make([]int, len(g.Nodes)), Lib: lib}
 	scheduled := make([]bool, len(g.Nodes))
 	for _, id := range g.Inputs {
 		scheduled[id] = true
 	}
+	// busy[class][t] counts the units of the class occupied at step t.
+	busy := map[netgen.FUKind]map[int]int{netgen.FUAdd: {}, netgen.FUMult: {}}
 	remaining := len(g.Ops())
 	step := 0
 	for remaining > 0 {
 		step++
-		used := map[netgen.FUKind]int{}
-		// Ready ops: all args scheduled in earlier steps.
+		if step > maxSteps {
+			return nil, fmt.Errorf("cdfg: list scheduling did not converge")
+		}
+		// Ready ops: every argument completed in an earlier step.
 		var ready []int
 		for _, id := range g.Ops() {
 			if scheduled[id] {
@@ -119,7 +136,7 @@ func ListSchedule(g *Graph, rc ResourceConstraint) (*Schedule, error) {
 			}
 			ok := true
 			for _, a := range g.Nodes[id].Args {
-				if !scheduled[a] || (g.Nodes[a].Kind.IsOp() && s.Step[a] >= step) {
+				if !scheduled[a] || (g.Nodes[a].Kind.IsOp() && s.Completion(g, a) >= step) {
 					ok = false
 					break
 				}
@@ -132,20 +149,29 @@ func ListSchedule(g *Graph, rc ResourceConstraint) (*Schedule, error) {
 		// ties by ID for determinism.
 		sortByKey(ready, func(id int) int { return alap.Step[id]*len(g.Nodes) + id })
 		for _, id := range ready {
-			class := g.Nodes[id].Kind.FUClass()
-			if used[class] >= rc.Limit(class) {
+			kind := g.Nodes[id].Kind
+			class := kind.FUClass()
+			// A unit is busy exactly while it holds its operands.
+			last := step + lib.OperandHold(kind) - 1
+			fits := true
+			for t := step; t <= last; t++ {
+				if busy[class][t] >= rc.Limit(class) {
+					fits = false
+					break
+				}
+			}
+			if !fits {
 				continue
 			}
-			used[class]++
+			for t := step; t <= last; t++ {
+				busy[class][t]++
+			}
 			s.Step[id] = step
 			scheduled[id] = true
 			remaining--
-		}
-		if step > 4*len(g.Nodes)+16 {
-			return nil, fmt.Errorf("cdfg: list scheduling did not converge")
+			s.Len = max(s.Len, s.Completion(g, id))
 		}
 	}
-	s.Len = step
 	return s, nil
 }
 
@@ -187,40 +213,43 @@ func MinResources(g *Graph, s *Schedule) ResourceConstraint {
 	return rc
 }
 
-// ValidateSchedule checks precedence (args strictly earlier), range, and
-// the resource constraint (zero limits are ignored).
+// ValidateSchedule checks a schedule against its own library: it covers
+// every node, each operation starts at step 1 or later and completes by
+// Len, starts only after every operand completes, and no step occupies
+// more units of a class than the constraint allows (zero limits are
+// ignored).
 func ValidateSchedule(g *Graph, s *Schedule, rc ResourceConstraint) error {
 	if len(s.Step) != len(g.Nodes) {
-		return fmt.Errorf("cdfg: schedule size mismatch")
+		return fmt.Errorf("cdfg: schedule covers %d nodes, graph has %d", len(s.Step), len(g.Nodes))
 	}
-	used := make(map[[2]int]int) // (step, classIdx) -> count
+	// busy[class][t] counts the units of the class occupied at step t.
+	busy := map[netgen.FUKind][]int{}
 	for _, n := range g.Nodes {
 		if !n.Kind.IsOp() {
 			continue
 		}
-		st := s.Step[n.ID]
-		if st < 1 || st > s.Len {
-			return fmt.Errorf("cdfg: op %d scheduled at invalid step %d", n.ID, st)
+		start, end := s.Step[n.ID], s.Completion(g, n.ID)
+		if start < 1 || end > s.Len {
+			return fmt.Errorf("cdfg: op %d occupies steps %d..%d outside 1..%d", n.ID, start, end, s.Len)
 		}
 		for _, a := range n.Args {
-			if g.Nodes[a].Kind.IsOp() && s.Step[a] >= st {
-				return fmt.Errorf("cdfg: op %d at step %d uses value %d from step %d", n.ID, st, a, s.Step[a])
+			if g.Nodes[a].Kind.IsOp() && s.Completion(g, a) >= start {
+				return fmt.Errorf("cdfg: op %d starts at step %d before arg %d completes at step %d", n.ID, start, a, s.Completion(g, a))
 			}
 		}
-		ci := 0
-		if n.Kind.FUClass() == netgen.FUMult {
-			ci = 1
+		class := n.Kind.FUClass()
+		if busy[class] == nil {
+			busy[class] = make([]int, s.Len+1)
 		}
-		used[[2]int{st, ci}]++
+		for t := start; t <= s.BusyUntil(g, n.ID); t++ {
+			busy[class][t]++
+		}
 	}
-	if rc.Add > 0 || rc.Mult > 0 {
-		for k, c := range used {
-			limit := rc.Add
-			if k[1] == 1 {
-				limit = rc.Mult
-			}
+	for _, class := range []netgen.FUKind{netgen.FUAdd, netgen.FUMult} {
+		limit := rc.Limit(class)
+		for t, c := range busy[class] {
 			if limit > 0 && c > limit {
-				return fmt.Errorf("cdfg: step %d exceeds resource constraint (%d used, %d allowed)", k[0], c, limit)
+				return fmt.Errorf("cdfg: step %d uses %d %s units (limit %d)", t, c, class, limit)
 			}
 		}
 	}

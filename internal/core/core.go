@@ -178,7 +178,7 @@ func Bind(g *cdfg.Graph, s *cdfg.Schedule, rb *regbind.Binding, rc cdfg.Resource
 	if opt.Alpha < 0 || opt.Alpha > 1 {
 		return nil, nil, fmt.Errorf("core: alpha %v out of [0,1]", opt.Alpha)
 	}
-	if err := cdfg.ValidateScheduleLat(g, s, rc); err != nil {
+	if err := cdfg.ValidateSchedule(g, s, rc); err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	rep := &Report{}

@@ -36,7 +36,7 @@ func TestPipelinedSchedulingAllowsBackToBackMults(t *testing.T) {
 	if hi-lo != 1 {
 		t.Fatalf("pipelined unit should take back-to-back starts: steps %d, %d", s.Step[m1], s.Step[m2])
 	}
-	if err := cdfg.ValidateScheduleLat(g, s, cdfg.ResourceConstraint{Add: 1, Mult: 1}); err != nil {
+	if err := cdfg.ValidateSchedule(g, s, cdfg.ResourceConstraint{Add: 1, Mult: 1}); err != nil {
 		t.Fatal(err)
 	}
 }

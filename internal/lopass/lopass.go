@@ -68,7 +68,7 @@ const opCover = -1e6
 // mux-growth costs.
 func Bind(g *cdfg.Graph, s *cdfg.Schedule, rb *regbind.Binding, rc cdfg.ResourceConstraint, opt Options) (*binding.Result, *Report, error) {
 	start := time.Now()
-	if err := cdfg.ValidateScheduleLat(g, s, rc); err != nil {
+	if err := cdfg.ValidateSchedule(g, s, rc); err != nil {
 		return nil, nil, fmt.Errorf("lopass: %w", err)
 	}
 	res := binding.NewResult(g)

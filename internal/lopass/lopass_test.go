@@ -158,3 +158,17 @@ func TestChainCostCountsNewSources(t *testing.T) {
 		t.Fatal("new sources should cost > 0")
 	}
 }
+
+// TestBindRejectsShortSchedule checks that a schedule with fewer
+// entries than the graph has nodes is reported as an error.
+func TestBindRejectsShortSchedule(t *testing.T) {
+	g, s := figure1()
+	rb, err := regbind.Bind(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := &cdfg.Schedule{Step: s.Step[:2], Len: s.Len}
+	if _, _, err := Bind(g, short, rb, cdfg.ResourceConstraint{Add: 2, Mult: 1}, Options{}); err == nil {
+		t.Fatal("schedule shorter than the graph accepted")
+	}
+}
