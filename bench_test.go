@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +18,7 @@ import (
 	"repro/internal/lopass"
 	"repro/internal/mapper"
 	"repro/internal/netgen"
+	"repro/internal/par"
 	"repro/internal/prob"
 	"repro/internal/regbind"
 	"repro/internal/satable"
@@ -136,7 +136,7 @@ func BenchmarkFigure3(b *testing.B) {
 // three tie. The results are identical at any -j (see
 // flow.TestParallelMatchesSerial).
 func BenchmarkParallelSweep(b *testing.B) {
-	jobSet := []int{1, runtime.GOMAXPROCS(0), 8}
+	jobSet := []int{1, par.Jobs(0), 8}
 	for _, jobs := range jobSet {
 		jobs := jobs
 		b.Run(fmt.Sprintf("j=%d", jobs), func(b *testing.B) {

@@ -20,8 +20,8 @@
 // -width, -vectors, -alpha, -benchset (comma-separated
 // benchmark subset), -loadsatable FILE, -j N (the one worker count: the
 // sweep, SA precompute, the binding engine's edge scoring, the
-// simulator's lane groups, and the back end's elaboration, LUT covering
-// and power scan; every run is independently seeded and bindings,
+// simulator's lane groups, and the back end's elaboration and LUT
+// covering; every run is independently seeded and bindings,
 // transition counts and netlists are bit-identical at every worker
 // count, so the output is identical for any -j), -trace FILE (write
 // pipeline stage spans as JSON to FILE, or "-" for stdout, and print a

@@ -3,10 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/binding"
@@ -378,38 +375,4 @@ func (e *engine) materialize(res *binding.Result) {
 			res.FUOf[op] = fu.ID
 		}
 	}
-}
-
-// parallelDo runs fn(0..n-1) over a pool of workers (0 = GOMAXPROCS,
-// 1 = serial inline). Work items are claimed via an atomic counter;
-// callers must make fn(i) touch only item-i state.
-func parallelDo(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/binding"
 	"repro/internal/matching"
+	"repro/internal/par"
 	"repro/internal/satable"
 )
 
@@ -192,7 +193,7 @@ func (e *engine) scoreEdgesSparse(uList, vList []*fuNode) (edges []matching.Edge
 	}
 	// Parallel pure phase: merged mux shapes for fresh pairs only.
 	// Compatibility was already established during admission.
-	parallelDo(len(pending), e.opt.Workers, func(i int) {
+	par.For(len(pending), e.opt.Workers, func(_, i int) {
 		sl := &pending[i]
 		kl, kr := binding.MergedMuxSizesSets(sl.u.ports, sl.v.ports)
 		if e.shapeCap > 0 {

@@ -17,13 +17,12 @@ package datapath
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/binding"
 	"repro/internal/cdfg"
 	"repro/internal/logic"
 	"repro/internal/netgen"
+	"repro/internal/par"
 	"repro/internal/regbind"
 )
 
@@ -90,11 +89,11 @@ func ElaborateArch(g *cdfg.Graph, s *cdfg.Schedule, rb *regbind.Binding, res *bi
 
 // ElaborateArchJobs elaborates with per-FU module selection, building
 // the per-FU sub-netlists (port muxes + functional unit) on up to jobs
-// goroutines. Each worker records its FU onto a replay tape (frag);
-// the tapes are then replayed into the network serially in FU order,
-// so the resulting network — node IDs, names, macro tags, everything —
-// is byte-identical to the jobs=1 build at any worker count. Arch
-// selector callbacks must be safe for concurrent use when jobs > 1.
+// workers (jobs <= 1 builds them serially). Each FU is recorded onto a
+// replay tape (frag); the tapes are then replayed into the network
+// serially in FU order, so the resulting network — node IDs, names,
+// macro tags, everything — is byte-identical at every worker count.
+// Arch selector callbacks must be safe for concurrent use when jobs > 1.
 func ElaborateArchJobs(g *cdfg.Graph, s *cdfg.Schedule, rb *regbind.Binding, res *binding.Result, width int, arch *Arch, jobs int) (*Design, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("datapath: width must be >= 1")
@@ -193,51 +192,26 @@ func ElaborateArchJobs(g *cdfg.Graph, s *cdfg.Schedule, rb *regbind.Binding, res
 		}
 		d.Muxes.FULength += nLeft + nRight
 	}
-	if jobs > 1 && len(res.FUs) > 1 {
-		type fuBuild struct {
-			frag          *frag
-			out           []int
-			nLeft, nRight int
+	type fuBuild struct {
+		frag          *frag
+		out           []int
+		nLeft, nRight int
+	}
+	builds := make([]fuBuild, len(res.FUs))
+	par.For(len(res.FUs), max(jobs, 1), func(_, i int) {
+		f := &frag{}
+		out, nl, nr := buildFU(f, g, s, rb, res, res.FUs[i], arch, regQ, stepMatch)
+		builds[i] = fuBuild{frag: f, out: out, nLeft: nl, nRight: nr}
+	})
+	for i, fu := range res.FUs {
+		b := builds[i]
+		base := b.frag.replay(net)
+		bus := make([]int, len(b.out))
+		for j, id := range b.out {
+			bus[j] = fragResolve(base, id)
 		}
-		builds := make([]fuBuild, len(res.FUs))
-		nw := jobs
-		if nw > len(res.FUs) {
-			nw = len(res.FUs)
-		}
-		var next int64
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= len(res.FUs) {
-						return
-					}
-					f := &frag{}
-					out, nl, nr := buildFU(f, g, s, rb, res, res.FUs[i], arch, regQ, stepMatch)
-					builds[i] = fuBuild{frag: f, out: out, nLeft: nl, nRight: nr}
-				}
-			}()
-		}
-		wg.Wait()
-		for i, fu := range res.FUs {
-			b := builds[i]
-			base := b.frag.replay(net)
-			bus := make([]int, len(b.out))
-			for j, id := range b.out {
-				bus[j] = fragResolve(base, id)
-			}
-			fuOut[fu.ID] = bus
-			muxStats(b.nLeft, b.nRight)
-		}
-	} else {
-		for _, fu := range res.FUs {
-			out, nl, nr := buildFU(net, g, s, rb, res, fu, arch, regQ, stepMatch)
-			fuOut[fu.ID] = out
-			muxStats(nl, nr)
-		}
+		fuOut[fu.ID] = bus
+		muxStats(b.nLeft, b.nRight)
 	}
 
 	// --- Register steering: group writes by data source, gate each with

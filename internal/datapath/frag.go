@@ -39,8 +39,8 @@ type fragOp struct {
 // caller, e.g. register Q bits) with frag-local IDs returned by the
 // frag itself; replay translates the local ones. Frags let per-FU
 // sub-netlists be built concurrently and then stitched in serially in
-// a deterministic order, yielding a network byte-identical to a fully
-// serial build.
+// a deterministic order, so the network does not depend on the worker
+// count.
 type frag struct {
 	n   int // frag-local node count
 	ops []fragOp

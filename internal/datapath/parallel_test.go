@@ -41,7 +41,7 @@ func netFingerprint(net *logic.Network) string {
 // TestElaborateJobsByteIdentical proves the tape-replay parallel
 // elaboration contract: at every worker count the produced network —
 // IDs, names, latch wiring, macro tags, mux statistics — is identical
-// to the serial build. Covers an add/sub-mixed graph (butterfly), a
+// to the one-worker build. Covers an add/sub-mixed graph (butterfly), a
 // mult-heavy one (DCT), and a benchmark-scale profile.
 func TestElaborateJobsByteIdentical(t *testing.T) {
 	cases := []struct {
@@ -79,7 +79,7 @@ func TestElaborateJobsByteIdentical(t *testing.T) {
 					t.Fatalf("jobs=%d: %v", jobs, err)
 				}
 				if fp := netFingerprint(d.Net); fp != refFP {
-					t.Fatalf("jobs=%d: network differs from serial build", jobs)
+					t.Fatalf("jobs=%d: network differs from the one-worker build", jobs)
 				}
 				if d.Muxes != ref.Muxes {
 					t.Fatalf("jobs=%d: mux report %+v != %+v", jobs, d.Muxes, ref.Muxes)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cdfg"
 	"repro/internal/mapper"
+	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
@@ -72,7 +73,7 @@ func BenchmarkFlowBackend(b *testing.B) {
 	run := func(b *testing.B, memo bool) {
 		jobs := 1
 		if memo {
-			jobs = normJobs(cfg.MapJobs)
+			jobs = par.Jobs(cfg.MapJobs)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -104,7 +105,7 @@ func BenchmarkFlowBackend(b *testing.B) {
 			}
 			if _, err := stagePower.Exec(bgc, cache, powerIn{
 				name: p.Name, binder: BinderLOPASS.Name,
-				ma: ma, counts: counts, simKey: sk, arch: cfg.Arch, jobs: jobs,
+				ma: ma, counts: counts, simKey: sk, arch: cfg.Arch,
 			}, &tr); err != nil {
 				b.Fatal(err)
 			}

@@ -8,8 +8,8 @@ import (
 )
 
 // TestBackEndWorkerInvariance runs every paper benchmark through the
-// full back end (parallel elaboration, level-parallel mapping, chunked
-// power scan) at several MapJobs settings and demands bit-identical
+// full back end (parallel elaboration, level-parallel mapping) at
+// several MapJobs settings and demands bit-identical
 // measurements: LUTs, depth, the float SA estimate to the bit, the raw
 // transition counts, and the final power report. This is the contract
 // that lets MapJobs stay out of every stage cache key.

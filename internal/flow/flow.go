@@ -141,8 +141,8 @@ type Config struct {
 	// every width, so it is excluded from stage cache keys.
 	SimWide int
 	// MapJobs sizes the back end's worker pools: parallel per-FU datapath
-	// elaboration, the mapper's level-parallel forward pass, and the
-	// power analyzer's chunked node scan (0 = GOMAXPROCS, 1 = serial).
+	// elaboration and the mapper's level-parallel forward pass and
+	// estimate (0 = GOMAXPROCS, 1 = serial).
 	// Non-semantic: every artifact is bit-identical at every worker
 	// count, so it is excluded from stage cache keys like SimJobs and
 	// BindJobs.

@@ -3,11 +3,9 @@ package flow
 import (
 	"context"
 	"errors"
-	"runtime"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
@@ -31,15 +29,6 @@ import (
 // AllBinders is the full binder matrix of the paper's sweep (Tables 3-4,
 // Figure 3).
 var AllBinders = []Binder{BinderLOPASS, BinderHLPower1, BinderHLPower05}
-
-// normJobs resolves a worker-count request (Session.Jobs or a Config
-// worker knob): <= 0 selects GOMAXPROCS.
-func normJobs(jobs int) int {
-	if jobs <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return jobs
-}
 
 // safeItem runs fn(ctx, i) with panic isolation: a panic escaping the
 // item (a bug in harness glue — stage panics are already recovered at
@@ -65,8 +54,8 @@ func safeItem(ctx context.Context, i int, fn func(ctx context.Context, i int) er
 // every item runs to completion regardless of other items' failures;
 // only the parent ctx can stop the sweep early.
 //
-// jobs <= 1 degrades to a plain serial loop with identical semantics,
-// which is what makes -j1 and -j8 failure reports comparable.
+// One job runs the items serially in index order with identical
+// semantics, which is what makes -j1 and -j8 failure reports comparable.
 func runItems(ctx context.Context, n, jobs int, stopOnErr bool, fn func(ctx context.Context, i int) error) []error {
 	errs := make([]error, n)
 	ictx := ctx
@@ -75,7 +64,7 @@ func runItems(ctx context.Context, n, jobs int, stopOnErr bool, fn func(ctx cont
 		ictx, cancel = context.WithCancel(ctx)
 		defer cancel()
 	}
-	one := func(i int) {
+	par.For(n, jobs, func(_, i int) {
 		if err := ictx.Err(); err != nil {
 			errs[i] = err
 			return
@@ -84,33 +73,7 @@ func runItems(ctx context.Context, n, jobs int, stopOnErr bool, fn func(ctx cont
 		if errs[i] != nil && stopOnErr {
 			cancel()
 		}
-	}
-	jobs = normJobs(jobs)
-	if jobs > n {
-		jobs = n
-	}
-	if jobs <= 1 {
-		for i := 0; i < n; i++ {
-			one(i)
-		}
-		return errs
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				one(i)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return errs
 }
 

@@ -33,6 +33,7 @@ import (
 	"repro/internal/lopass"
 	"repro/internal/mapper"
 	"repro/internal/modsel"
+	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/regbind"
@@ -351,9 +352,6 @@ type powerIn struct {
 	// The stage Key omits it: simKey already chains the map key, which
 	// carries the full arch fingerprint.
 	arch arch.Target
-	// jobs sizes the analyzer's chunked node scan (Config.MapJobs).
-	// Non-semantic, excluded from the stage Key.
-	jobs int
 }
 
 // simKey derives the simulate stage's cache key; the power stage chains
@@ -598,7 +596,7 @@ var stagePower = pipeline.Stage[powerIn, power.Report]{
 	},
 	Scope: func(in powerIn) pipeline.Scope { return pipeline.Scope{Bench: in.name, Binder: in.binder} },
 	Run: func(_ context.Context, in powerIn) (power.Report, error) {
-		rep := power.FromArch(in.arch).AnalyzeJobs(in.ma.m.Mapped, in.counts, in.jobs)
+		rep := power.FromArch(in.arch).Analyze(in.ma.m.Mapped, in.counts)
 		if p := in.arch.Projection; p != nil {
 			rep = power.Project(*p, rep)
 		}
@@ -613,7 +611,7 @@ var stagePower = pipeline.Stage[powerIn, power.Report]{
 // power) for one bound design. The ablation study and the mainline
 // pipeline share it.
 func runBackEnd(ctx context.Context, cache *pipeline.Cache, cfg Config, fe *schedArtifact, rba *regbindArtifact, ba *bindArtifact, name, binderName string, ms *modsel.Options, trs ...*pipeline.Trace) (*dpArtifact, *mapArtifact, sim.Counts, power.Report, error) {
-	jobs := normJobs(cfg.MapJobs)
+	jobs := par.Jobs(cfg.MapJobs)
 	dp, err := stageDatapath.Exec(ctx, cache, datapathIn{
 		name: name, binder: binderName, fe: fe, rba: rba, ba: ba,
 		width: cfg.Width, modsel: ms, jobs: jobs,
@@ -649,7 +647,7 @@ func runBackEnd(ctx context.Context, cache *pipeline.Cache, cfg Config, fe *sche
 	}
 	rep, err := stagePower.Exec(ctx, cache, powerIn{
 		name: name, binder: binderName,
-		ma: ma, counts: counts, simKey: simKey(sin), arch: cfg.Arch, jobs: jobs,
+		ma: ma, counts: counts, simKey: simKey(sin), arch: cfg.Arch,
 	}, trs...)
 	if err != nil {
 		return nil, nil, sim.Counts{}, power.Report{}, err

@@ -12,10 +12,10 @@ import (
 	"encoding/binary"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitvec"
 	"repro/internal/logic"
+	"repro/internal/par"
 	"repro/internal/prob"
 )
 
@@ -364,39 +364,20 @@ func EstimateNetworkJobs(net *logic.Network, src prob.SourceValues, jobs int) Es
 		}
 	}
 	workers := make([]*Estimator, jobs)
+	ins := make([][]Waveform, jobs)
 	for i := range workers {
 		workers[i] = NewEstimator()
 	}
 	for _, ids := range byLevel {
-		if len(ids) == 0 {
-			continue
-		}
-		nw := jobs
-		if nw > len(ids) {
-			nw = len(ids)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(nw)
-		for wi := 0; wi < nw; wi++ {
-			go func(e *Estimator) {
-				defer wg.Done()
-				var ins []Waveform
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(ids) {
-						return
-					}
-					nd := net.Node(int(ids[i]))
-					ins = ins[:0]
-					for _, f := range nd.Fanins {
-						ins = append(ins, waves[f])
-					}
-					waves[nd.ID] = e.propagate(prob.Characterize(nd.Func), ins)
-				}
-			}(workers[wi])
-		}
-		wg.Wait()
+		par.For(len(ids), jobs, func(w, i int) {
+			nd := net.Node(int(ids[i]))
+			in := ins[w][:0]
+			for _, f := range nd.Fanins {
+				in = append(in, waves[f])
+			}
+			waves[nd.ID] = workers[w].propagate(prob.Characterize(nd.Func), in)
+			ins[w] = in
+		})
 	}
 	return Estimate{Waves: waves}
 }

@@ -18,13 +18,12 @@ package mapper
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/arch"
 	"repro/internal/cuts"
 	"repro/internal/glitch"
 	"repro/internal/logic"
+	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/prob"
 )
@@ -269,16 +268,7 @@ func Map(net *logic.Network, opt Options) (*Result, error) {
 		return mapGate(net, t.gate, states, sets, fanout, opt, w)
 	}
 
-	if opt.Jobs <= 1 {
-		w := newMapWorker()
-		for _, tasks := range levels {
-			for _, t := range tasks {
-				if err := runTask(t, w); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else if err := runLevelsParallel(levels, opt.Jobs, runTask); err != nil {
+	if err := runLevels(levels, max(opt.Jobs, 1), runTask); err != nil {
 		return nil, err
 	}
 
@@ -298,49 +288,27 @@ func Map(net *logic.Network, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// runLevelsParallel executes each level's tasks over a worker pool.
+// runLevels executes the plan level by level on up to jobs workers.
 // Within a level all tasks are independent (they read only lower-level
 // slots and write only their own), so scheduling order cannot affect
-// the Result; the wait at each level boundary supplies the
-// happens-before edge for the next level's reads.
-func runLevelsParallel(levels [][]mapTask, jobs int, run func(mapTask, *mapWorker) error) error {
+// the Result; the return of par.For at each level boundary supplies the
+// happens-before edge for the next level's reads. The first error in
+// task order is returned, for a deterministic report.
+func runLevels(levels [][]mapTask, jobs int, run func(mapTask, *mapWorker) error) error {
 	workers := make([]*mapWorker, jobs)
 	for i := range workers {
 		workers[i] = newMapWorker()
 	}
 	var errs []error
 	for _, tasks := range levels {
-		if len(tasks) == 0 {
-			continue
-		}
 		if cap(errs) < len(tasks) {
 			errs = make([]error, len(tasks))
 		}
 		errs = errs[:len(tasks)]
-		for i := range errs {
-			errs[i] = nil
-		}
-		nw := jobs
-		if nw > len(tasks) {
-			nw = len(tasks)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(nw)
-		for wi := 0; wi < nw; wi++ {
-			go func(w *mapWorker) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(tasks) {
-						return
-					}
-					errs[i] = run(tasks[i], w)
-				}
-			}(workers[wi])
-		}
-		wg.Wait()
-		// First error in task order, for a deterministic report.
+		clear(errs)
+		par.For(len(tasks), jobs, func(w, i int) {
+			errs[i] = run(tasks[i], workers[w])
+		})
 		for _, err := range errs {
 			if err != nil {
 				return err

@@ -15,8 +15,6 @@
 package power
 
 import (
-	"sync"
-
 	"repro/internal/arch"
 	"repro/internal/logic"
 	"repro/internal/sim"
@@ -87,57 +85,6 @@ type Report struct {
 // Analyze produces the power/timing report for a mapped network and its
 // measured transition counts.
 func (m Model) Analyze(mapped *logic.Network, counts sim.Counts) Report {
-	return m.analyze(mapped, counts, mapped.NumGates())
-}
-
-// AnalyzeJobs is Analyze with the per-node classification scan chunked
-// across up to jobs goroutines. The chunk partials are integers reduced
-// in fixed chunk order, so the Report is bit-identical to Analyze's at
-// any worker count.
-func (m Model) AnalyzeJobs(mapped *logic.Network, counts sim.Counts, jobs int) Report {
-	if jobs <= 1 {
-		return m.Analyze(mapped, counts)
-	}
-	return m.analyze(mapped, counts, numGatesJobs(mapped, jobs))
-}
-
-// numGatesJobs counts KindGate nodes with a chunked parallel scan and a
-// fixed-order reduction over the per-chunk partial counts.
-func numGatesJobs(mapped *logic.Network, jobs int) int {
-	n := len(mapped.Nodes)
-	chunk := (n + jobs - 1) / jobs
-	if chunk < 1 {
-		chunk = 1
-	}
-	nc := (n + chunk - 1) / chunk
-	partial := make([]int, nc)
-	var wg sync.WaitGroup
-	for c := 0; c < nc; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			lo, hi := c*chunk, (c+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			cnt := 0
-			for _, nd := range mapped.Nodes[lo:hi] {
-				if nd.Kind == logic.KindGate {
-					cnt++
-				}
-			}
-			partial[c] = cnt
-		}(c)
-	}
-	wg.Wait()
-	total := 0
-	for _, p := range partial {
-		total += p
-	}
-	return total
-}
-
-func (m Model) analyze(mapped *logic.Network, counts sim.Counts, numGates int) Report {
 	period := m.ClockPeriodNs(mapped.Depth())
 	f := FrequencyHz(period)
 	cycles := float64(counts.Cycles)
@@ -149,7 +96,7 @@ func (m Model) analyze(mapped *logic.Network, counts sim.Counts, numGates int) R
 
 	pd := 0.5 * m.Vdd * m.Vdd * (m.CLut*gateTps + m.CReg*latchTps)
 
-	numSignals := numGates + len(mapped.Latches)
+	numSignals := mapped.NumGates() + len(mapped.Latches)
 	avgToggle := 0.0
 	if numSignals > 0 {
 		avgToggle = (gateTps + latchTps) / float64(numSignals) / 1e6
@@ -165,6 +112,12 @@ func (m Model) analyze(mapped *logic.Network, counts sim.Counts, numGates int) R
 		TotalTogglesPerCycle: counts.TogglesPerCycle(),
 		GlitchShare:          glitchShare,
 	}
+}
+
+// AnalyzeJobs is Analyze; the worker count is ignored, since the
+// analysis is a single pass over the net list.
+func (m Model) AnalyzeJobs(mapped *logic.Network, counts sim.Counts, _ int) Report {
+	return m.Analyze(mapped, counts)
 }
 
 // Project applies FPGA→ASIC gap factors to an FPGA-fabric report:

@@ -21,15 +21,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/arch"
 	"repro/internal/mapper"
 	"repro/internal/netgen"
+	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/prob"
 	"repro/internal/store"
@@ -292,43 +290,15 @@ func (t *Table) PrecomputeCtx(ctx context.Context, maxMux, jobs int) error {
 // On failure the first error in key order (deterministic for any worker
 // count) is returned; completed entries remain cached.
 func (t *Table) GetBatch(ctx context.Context, keys []Key, jobs int) ([]float64, error) {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(keys) {
-		jobs = len(keys)
-	}
 	vals := make([]float64, len(keys))
 	errs := make([]error, len(keys))
-	fill := func(i int) {
+	par.For(len(keys), jobs, func(_, i int) {
 		if err := ctx.Err(); err != nil {
 			errs[i] = err
 			return
 		}
 		vals[i], errs[i] = t.GetE(ctx, keys[i].Kind, keys[i].KL, keys[i].KR)
-	}
-	if jobs <= 1 {
-		for i := range keys {
-			fill(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < jobs; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(keys) {
-						return
-					}
-					fill(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

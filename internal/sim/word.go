@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitvec"
 	"repro/internal/logic"
+	"repro/internal/par"
 )
 
 // WordSimulator is the word-parallel counterpart of Simulator: it packs
@@ -763,39 +761,22 @@ func (w *WordSimulator) RunVectorsCtx(ctx context.Context, vectors [][]bool, wor
 	}
 	wdt := w.wide
 	blocks := (len(groups) + wdt - 1) / wdt
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > blocks {
-		workers = blocks
-	}
-
 	perBlock := make([]Counts, blocks)
-	perWorker := make([][]int64, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		trans := make([]int64, w.net.NumNodes())
-		perWorker[wk] = trans
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := w.newScratch(wdt)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= blocks || ctx.Err() != nil {
-					return
-				}
-				lo := i * wdt
-				hi := lo + wdt
-				if hi > len(groups) {
-					hi = len(groups)
-				}
-				perBlock[i] = w.simBlock(groups[lo:hi], sc, trans)
-			}
-		}()
+	nw := par.Workers(blocks, workers)
+	scratch := make([]*wordScratch, nw)
+	perWorker := make([][]int64, nw)
+	for wk := range scratch {
+		scratch[wk] = w.newScratch(wdt)
+		perWorker[wk] = make([]int64, w.net.NumNodes())
 	}
-	wg.Wait()
+	par.For(blocks, workers, func(wk, i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		lo := i * wdt
+		hi := min(lo+wdt, len(groups))
+		perBlock[i] = w.simBlock(groups[lo:hi], scratch[wk], perWorker[wk])
+	})
 
 	for _, c := range perBlock {
 		w.counts.Gate += c.Gate
