@@ -4,13 +4,12 @@
 //
 //   - Najm's transition density via Boolean differences (Eq. 1) [17],
 //   - the Chou–Roy pairwise model that accounts for simultaneous input
-//     switching, s(y) = 2(P(y(t)) − P(y(t)y(t+T))) (Eq. 2) [7],
-//   - a Krishnamurthy–Tollis style weighted averaging of per-cut
-//     probability estimates to soften reconvergent-fanout error [12].
+//     switching, s(y) = 2(P(y(t)) − P(y(t)y(t+T))) (Eq. 2) [7].
 //
 // All computations treat fanins as independent, which is the standard
-// assumption of these estimators; the glitch package layers the
-// unit-delay time dimension on top.
+// assumption of these estimators: reconvergent-fanout correlation is
+// not corrected. The glitch package layers the unit-delay time
+// dimension on top.
 package prob
 
 import (
@@ -91,36 +90,4 @@ func ChouRoyActivity(f *bitvec.TruthTable, p, s []float64) float64 {
 	v := Characterize(f).ChouRoyActivity(p, s, sc)
 	scratchPool.Put(sc)
 	return v
-}
-
-// WeightedAverage combines independent estimates of the same probability
-// with the given nonnegative weights, in the spirit of the
-// Krishnamurthy–Tollis improved-probability technique: estimates derived
-// from larger (more encompassing) supports receive larger weights.
-// Negative weights panic — mixed signs can cancel the denominator to
-// near zero and launch the result far outside [0,1]. Zero total weight
-// yields the plain mean.
-func WeightedAverage(estimates, weights []float64) float64 {
-	if len(estimates) == 0 {
-		return 0
-	}
-	if len(estimates) != len(weights) {
-		panic("prob: estimate/weight length mismatch")
-	}
-	num, den := 0.0, 0.0
-	for i, e := range estimates {
-		if weights[i] < 0 {
-			panic("prob: negative weight")
-		}
-		num += e * weights[i]
-		den += weights[i]
-	}
-	if den == 0 {
-		sum := 0.0
-		for _, e := range estimates {
-			sum += e
-		}
-		return sum / float64(len(estimates))
-	}
-	return num / den
 }

@@ -206,18 +206,6 @@ func TestStaticInputsMeanNoSwitching(t *testing.T) {
 	}
 }
 
-func TestWeightedAverage(t *testing.T) {
-	if got := WeightedAverage([]float64{0.2, 0.6}, []float64{1, 3}); !almost(got, 0.5, 1e-12) {
-		t.Fatalf("weighted average = %v, want 0.5", got)
-	}
-	if got := WeightedAverage([]float64{0.2, 0.6}, []float64{0, 0}); !almost(got, 0.4, 1e-12) {
-		t.Fatalf("zero-weight average = %v, want 0.4", got)
-	}
-	if got := WeightedAverage(nil, nil); got != 0 {
-		t.Fatalf("empty average = %v, want 0", got)
-	}
-}
-
 func TestEstimateNetworkFullAdder(t *testing.T) {
 	net := logic.NewNetwork("fa")
 	a := net.AddInput("a")

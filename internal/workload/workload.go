@@ -160,15 +160,6 @@ func Generate(p Profile) *cdfg.Graph {
 	return g
 }
 
-// GenerateAll returns every benchmark graph keyed by name.
-func GenerateAll() map[string]*cdfg.Graph {
-	out := make(map[string]*cdfg.Graph, len(Benchmarks))
-	for _, p := range Benchmarks {
-		out[p.Name] = Generate(p)
-	}
-	return out
-}
-
 // Schedule produces the benchmark's scheduled CDFG: balanced (force-
 // directed style) scheduling to the paper's Table 2 cycle count, clamped
 // below by the generated graph's critical path.

@@ -82,13 +82,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestGenerateAll(t *testing.T) {
-	all := GenerateAll()
-	if len(all) != len(Benchmarks) {
-		t.Fatalf("GenerateAll returned %d graphs", len(all))
-	}
-}
-
 func TestDCT8Shape(t *testing.T) {
 	g := DCT8()
 	if err := g.Validate(); err != nil {
