@@ -1,62 +1,31 @@
 package logic
 
-import "sort"
-
-// LatchCones describes the latch D-input cones of a network — the only
-// logic that stands between one clock cycle's latch state and the
-// next. Both slices are indexed like Network.Latches.
-type LatchCones struct {
-	// Gates lists, per latch, the gate IDs in the transitive fanin of
-	// its D pin, in ascending (topological) order.
-	Gates [][]int
-	// Deps lists, per latch, the indices of latches whose Q outputs the
-	// cone reads — the latch dependency graph. A pipeline's graph is
-	// acyclic; FSM-style feedback (a latch reachable from its own Q)
-	// makes it cyclic.
-	Deps [][]int
-}
-
-// LatchCones computes the D-input cone of every latch by depth-first
-// traversal from the D pin through gate fanins, stopping at inputs,
-// constants, and latch outputs.
-func (n *Network) LatchCones() LatchCones {
-	numL := len(n.Latches)
-	c := LatchCones{Gates: make([][]int, numL), Deps: make([][]int, numL)}
-	latchIdx := make([]int, n.NumNodes())
-	for i := range latchIdx {
-		latchIdx[i] = -1
-	}
-	for i, q := range n.Latches {
-		latchIdx[q] = i
-	}
-	seen := make([]int, n.NumNodes())
-	for i := range seen {
-		seen[i] = -1
-	}
+// LatchConeGates returns the gates in the transitive fanin of any latch
+// D pin — the only logic that stands between one clock cycle's latch
+// state and the next — as one ascending (topological) list. The
+// depth-first walk from each D pin stops at inputs, constants, and latch
+// outputs; a gate shared by several cones is listed once.
+func (n *Network) LatchConeGates() []int {
+	in := make([]bool, n.NumNodes())
 	var stack []int
-	for i, q := range n.Latches {
-		visit := func(id int) {
-			if seen[id] != i {
-				seen[id] = i
-				stack = append(stack, id)
-			}
-		}
-		visit(n.Node(q).LatchInput)
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			nd := n.Node(id)
-			switch nd.Kind {
-			case KindGate:
-				c.Gates[i] = append(c.Gates[i], id)
-				for _, f := range nd.Fanins {
-					visit(f)
-				}
-			case KindLatchOut:
-				c.Deps[i] = append(c.Deps[i], latchIdx[id])
-			}
-		}
-		sort.Ints(c.Gates[i])
+	for _, q := range n.Latches {
+		stack = append(stack, n.Node(q).LatchInput)
 	}
-	return c
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		nd := n.Node(id)
+		if nd.Kind != KindGate || in[id] {
+			continue
+		}
+		in[id] = true
+		stack = append(stack, nd.Fanins...)
+	}
+	var gates []int
+	for id, ok := range in {
+		if ok {
+			gates = append(gates, id)
+		}
+	}
+	return gates
 }

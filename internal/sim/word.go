@@ -48,18 +48,10 @@ type WordSimulator struct {
 	maxDelay int
 	plans    []gatePlan
 	gateIDs  []int
-	// Latch-trajectory plan. When the latch dependency graph (latch A
-	// depends on latch B if B's Q is in A's D-input cone) is acyclic —
-	// every pipeline — the trajectory is computed word-parallel rank by
-	// rank: ranked is true, latchRanks[r] lists the latch indices of
-	// rank r, and rankGates[r] the cone gates first needed at rank r
-	// (ascending ID, topological). Otherwise coneOps holds the
-	// levelized per-cycle cone program the sequential fallback
-	// evaluates. Combinational networks need neither.
-	ranked     bool
-	latchRanks [][]int
-	rankGates  [][]int
-	coneOps    []coneOp
+	// coneOps is the levelized latch D-cone program the pre-pass
+	// evaluates once per cycle to track the latch trajectory (empty for
+	// combinational networks).
+	coneOps []coneOp
 	// constIDs/constVals list the constant sources once; their node
 	// values never change.
 	constIDs  []int
@@ -101,26 +93,6 @@ func newGatePlan(nd *logic.Node) gatePlan {
 	p := gatePlan{isGate: true, fanins: nd.Fanins}
 	p.minterms, p.invert = nd.Func.CompactCover()
 	return p
-}
-
-// eval computes the gate's 64-lane output word from the fanin words.
-func (p *gatePlan) eval(val []uint64) uint64 {
-	var out uint64
-	for _, m := range p.minterms {
-		term := ^uint64(0)
-		for i, f := range p.fanins {
-			w := val[f]
-			if m>>uint(i)&1 == 0 {
-				w = ^w
-			}
-			term &= w
-		}
-		out |= term
-	}
-	if p.invert {
-		out = ^out
-	}
-	return out
 }
 
 // MaxWide bounds the lane-group width of one event pass: up to
@@ -215,117 +187,31 @@ func NewWordWithDelays(net *logic.Network, model DelayModel, seed int64) (*WordS
 			w.constVals = append(w.constVals, nd.ConstVal)
 		}
 	}
-	w.buildTrajectoryPlan()
+	w.buildConeProgram()
 	return w, nil
 }
 
-// buildTrajectoryPlan analyzes the latch D-input cones — the only part
+// buildConeProgram levelizes the latch D-input cones — the only part
 // of the network that stands between one cycle's latch state and the
-// next. If the latch dependency graph is acyclic (pipelines always
-// are), latches are assigned longest-path ranks and each cone gate the
-// minimum rank that needs it, enabling the word-parallel ranked
-// trajectory of the pre-pass. Feedback (an FSM-style latch reachable
-// from its own Q) falls back to a levelized per-cycle cone program.
-// Combinational networks need no plan at all.
-func (w *WordSimulator) buildTrajectoryPlan() {
-	numL := len(w.net.Latches)
-	if numL == 0 {
-		return
-	}
-	cones := w.net.LatchCones()
-
-	// Longest-path latch ranks; a dependency cycle aborts to the
-	// sequential fallback.
-	const unranked, inProgress = -1, -2
-	rank := make([]int, numL)
-	for i := range rank {
-		rank[i] = unranked
-	}
-	acyclic := true
-	var rankOf func(i int) int
-	rankOf = func(i int) int {
-		if rank[i] == inProgress {
-			acyclic = false
-			return 0
-		}
-		if rank[i] >= 0 {
-			return rank[i]
-		}
-		rank[i] = inProgress
-		r := 0
-		for _, j := range cones.Deps[i] {
-			if rj := rankOf(j) + 1; rj > r {
-				r = rj
-			}
-			if !acyclic {
-				return 0
-			}
-		}
-		rank[i] = r
-		return r
-	}
-	maxRank := 0
-	for i := 0; i < numL && acyclic; i++ {
-		if r := rankOf(i); r > maxRank {
-			maxRank = r
-		}
-	}
-
-	// gateRank[id] is the minimum rank whose cones need gate id, or
-	// unranked for gates outside every cone.
-	gateRank := make([]int, w.net.NumNodes())
-	for id := range gateRank {
-		gateRank[id] = unranked
-	}
-	for i := 0; i < numL; i++ {
-		r := 0
-		if acyclic {
-			r = rank[i]
-		}
-		for _, id := range cones.Gates[i] {
-			if gateRank[id] == unranked || r < gateRank[id] {
-				gateRank[id] = r
-			}
-		}
-	}
-
-	if !acyclic {
-		// Sequential fallback: the levelized cone program evaluated
-		// once per cycle. Gates of up to 6 inputs inline their truth
-		// table into a single word.
-		for _, nd := range w.net.Nodes {
-			if nd.Kind != logic.KindGate || gateRank[nd.ID] == unranked {
-				continue
-			}
-			op := coneOp{id: nd.ID, fanins: nd.Fanins}
-			if nd.Func.NumVars() <= 6 {
-				for m := 0; m < nd.Func.Size(); m++ {
-					if nd.Func.Get(uint(m)) {
-						op.tt |= 1 << uint(m)
-					}
+// next — into the per-cycle program the pre-pass evaluates. The
+// trajectory is inherently sequential for the flow's netlists: every
+// elaborated datapath carries a step-counter FSM whose latches read
+// their own Q. Gates of up to 6 inputs inline their truth table into a
+// single word.
+func (w *WordSimulator) buildConeProgram() {
+	for _, id := range w.net.LatchConeGates() {
+		nd := w.net.Node(id)
+		op := coneOp{id: id, fanins: nd.Fanins}
+		if nd.Func.NumVars() <= 6 {
+			for m := 0; m < nd.Func.Size(); m++ {
+				if nd.Func.Get(uint(m)) {
+					op.tt |= 1 << uint(m)
 				}
-			} else {
-				op.big = nd.Func
 			}
-			w.coneOps = append(w.coneOps, op)
+		} else {
+			op.big = nd.Func
 		}
-		return
-	}
-
-	w.ranked = true
-	w.latchRanks = make([][]int, maxRank+1)
-	for i := 0; i < numL; i++ {
-		w.latchRanks[rank[i]] = append(w.latchRanks[rank[i]], i)
-	}
-	// A gate is evaluated at the minimum rank whose cones need it; its
-	// fanins always have an equal or lower rank, so evaluating rank
-	// buckets in order, ascending IDs within each, is topological.
-	w.rankGates = make([][]int, maxRank+1)
-	for _, nd := range w.net.Nodes {
-		if nd.Kind != logic.KindGate || gateRank[nd.ID] == unranked {
-			continue
-		}
-		w.rankGates[gateRank[nd.ID]] = append(w.rankGates[gateRank[nd.ID]], nd.ID)
+		w.coneOps = append(w.coneOps, op)
 	}
 }
 
@@ -383,9 +269,8 @@ func (w *WordSimulator) prepass(ctx context.Context, vectors [][]bool) ([]laneGr
 	inPrev := make([]bool, numIn)
 	stPrev := w.net.InitialLatchState()
 	stCur := make([]bool, numL)
-	seqCone := numL > 0 && !w.ranked
 	var coneVal []bool
-	if seqCone {
+	if numL > 0 {
 		coneVal = make([]bool, w.net.NumNodes())
 		for i, id := range w.constIDs {
 			coneVal[id] = w.constVals[i]
@@ -416,7 +301,7 @@ func (w *WordSimulator) prepass(ctx context.Context, vectors [][]bool) ([]laneGr
 				g.inputs[i] |= bit
 			}
 		}
-		if seqCone {
+		if numL > 0 {
 			// st_c is the D slice of cycle c-1's settled state — the
 			// two-phase capture of Step, reached through the cone
 			// program alone.
@@ -452,67 +337,7 @@ func (w *WordSimulator) prepass(ctx context.Context, vectors [][]bool) ([]laneGr
 		}
 		copy(inPrev, in)
 	}
-	if numL > 0 && w.ranked {
-		if err := w.rankedTrajectory(ctx, groups); err != nil {
-			return nil, err
-		}
-	}
 	return groups, nil
-}
-
-// rankedTrajectory computes the latch trajectory word-parallel for an
-// acyclic latch dependency graph. Rank-0 latch cones read only primary
-// inputs, so their D words fall out of one levelized word evaluation
-// over the shifted input stimulus; each latch's captured-Q word is its
-// D word, and shifting it one lane (with cross-group carry, lane 0 of
-// group 0 seeded from the init value) yields the st_{c-1} word the
-// next rank's cones read. Every cycle of a rank's trajectory is thus
-// computed 64 at a time — the pre-pass does no per-cycle logic
-// evaluation at all.
-func (w *WordSimulator) rankedTrajectory(ctx context.Context, groups []laneGroup) error {
-	numNodes := w.net.NumNodes()
-	init := w.net.InitialLatchState()
-	vals := make([][]uint64, len(groups))
-	for gi := range groups {
-		v := make([]uint64, numNodes)
-		for i, id := range w.constIDs {
-			if w.constVals[i] {
-				v[id] = ^uint64(0)
-			}
-		}
-		for i, id := range w.net.Inputs {
-			v[id] = groups[gi].startInputs[i]
-		}
-		vals[gi] = v
-	}
-	for r, gates := range w.rankGates {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for gi := range groups {
-			v := vals[gi]
-			for _, id := range gates {
-				v[id] = w.plans[id].eval(v)
-			}
-		}
-		for _, li := range w.latchRanks[r] {
-			q := w.net.Latches[li]
-			d := w.net.Node(q).LatchInput
-			var carry uint64
-			if init[li] {
-				carry = 1
-			}
-			for gi := range groups {
-				g := &groups[gi]
-				t := vals[gi][d]
-				g.latchQ[li] = t
-				g.startLatch[li] = t<<1 | carry
-				carry = t >> 63
-				vals[gi][q] = g.startLatch[li]
-			}
-		}
-	}
-	return nil
 }
 
 // wordEvent is one scheduled gate-output change: the node and its new

@@ -93,9 +93,64 @@ func TestWordMatchesScalarRandomNetworks(t *testing.T) {
 	}
 }
 
-// TestWordMatchesScalarMapped covers the flow's actual workload shape:
-// 4-LUT technology-mapped netlists, combinational (array multiplier)
-// and sequential (pipelined multiplier), both delay models.
+// counterDatapathNetwork builds the latch structure every elaborated
+// flow datapath has: a step counter wrapping over 0..steps-1 whose
+// latches read their own Q, steering a w-bit register that reads its
+// own Q too (it loads a*b at step 0 and accumulates a otherwise).
+func counterDatapathNetwork(w, steps int) *logic.Network {
+	net := logic.NewNetwork("ctrdp")
+	a := make([]int, w)
+	b := make([]int, w)
+	for i := range a {
+		a[i] = net.AddInput(fmt.Sprintf("a%d", i))
+		b[i] = net.AddInput(fmt.Sprintf("b%d", i))
+	}
+	var ctr []int
+	for 1<<len(ctr) < steps {
+		ctr = append(ctr, net.AddLatch(fmt.Sprintf("ctr%d", len(ctr)), false))
+	}
+	// match is the AND of the counter literals of value v.
+	match := func(prefix string, v int) int {
+		m := -1
+		for j, q := range ctr {
+			lit := q
+			if v>>uint(j)&1 == 0 {
+				lit = net.AddGate(fmt.Sprintf("%s_n%d", prefix, j), logic.TTNot(), q)
+			}
+			if m < 0 {
+				m = lit
+			} else {
+				m = net.AddGate(fmt.Sprintf("%s_a%d", prefix, j), logic.TTAnd2(), m, lit)
+			}
+		}
+		return m
+	}
+	notLast := net.AddGate("notlast", logic.TTNot(), match("last", steps-1))
+	carry := net.AddConst("one", true)
+	for j, q := range ctr {
+		inc := net.AddGate(fmt.Sprintf("inc%d", j), logic.TTXor2(), q, carry)
+		carry = net.AddGate(fmt.Sprintf("carry%d", j), logic.TTAnd2(), q, carry)
+		net.ConnectLatch(q, net.AddGate(fmt.Sprintf("next%d", j), logic.TTAnd2(), inc, notLast))
+	}
+	acc := make([]int, w)
+	for i := range acc {
+		acc[i] = net.AddLatch(fmt.Sprintf("acc%d", i), false)
+	}
+	prod := netgen.BuildMultiplier(net, "mul", a, b)
+	sum, _ := netgen.BuildAdder(net, "add", acc, a, -1)
+	next := netgen.BuildMux(net, "sel", []int{match("first", 0)}, [][]int{sum, prod})
+	for i, q := range acc {
+		net.ConnectLatch(q, next[i])
+		net.MarkOutput(fmt.Sprintf("y%d", i), q)
+	}
+	return net
+}
+
+// TestWordMatchesScalarMapped covers 4-LUT technology-mapped netlists
+// under both delay models: combinational (array multiplier), an acyclic
+// latch graph (pipelined multiplier), and the flow's actual workload
+// shape — latch feedback through a wrapping step counter, as in every
+// elaborated datapath.
 func TestWordMatchesScalarMapped(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -103,6 +158,7 @@ func TestWordMatchesScalarMapped(t *testing.T) {
 	}{
 		{"mult6", netgen.MultiplierNetwork(6)},
 		{"pipemult6", netgen.PipelinedMultiplierNetwork(6, 2)},
+		{"counterdp6", counterDatapathNetwork(6, 5)},
 	} {
 		res, err := mapper.Map(tc.net, mapper.DefaultOptions())
 		if err != nil {
