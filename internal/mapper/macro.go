@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bitvec"
@@ -178,32 +177,26 @@ func (c *MacroCover) UnmarshalJSON(b []byte) error {
 }
 
 // MacroCache memoizes canonical macro covers by content key. Construct
-// with NewMacroCache: with a pipeline.Cache it is shared across a
+// with NewMacroCache: with a shared pipeline.Cache it spans a
 // flow.Session and writes through to the durable artifact store; with
-// nil it degrades to a private in-process map. A nil *MacroCache is
-// valid and means "no memoization across instances beyond this call" —
-// Map still builds a per-call cache internally.
+// nil it builds a private one. A nil *MacroCache is valid and means "no
+// memoization across instances beyond this call" — Map still builds a
+// per-call cache internally.
 type MacroCache struct {
 	stages *pipeline.Cache
 	class  string
 
-	mu  sync.Mutex
-	mem map[string]*macroEntry
-
 	hits, misses atomic.Int64
 }
 
-type macroEntry struct {
-	once  sync.Once
-	cover *MacroCover
-	err   error
-}
-
-// NewMacroCache returns a cover cache. stages may be nil (private map);
-// class namespaces the entries inside the shared cache and must embed
-// every fingerprint the keys do not (flow uses "macro@" + archFP).
+// NewMacroCache returns a cover cache. stages may be nil (a private
+// cache); class namespaces the entries inside the shared cache and must
+// embed every fingerprint the keys do not (flow uses "macro@" + archFP).
 func NewMacroCache(stages *pipeline.Cache, class string) *MacroCache {
-	return &MacroCache{stages: stages, class: class, mem: make(map[string]*macroEntry)}
+	if stages == nil {
+		stages = pipeline.NewCache()
+	}
+	return &MacroCache{stages: stages, class: class}
 }
 
 // Stats reports (hit, miss) counters: hits are cover demands served
@@ -215,56 +208,26 @@ func (mc *MacroCache) Stats() (hits, misses int64) {
 
 // do returns the cover for key, computing it at most once per key.
 func (mc *MacroCache) do(key string, compute func() (*MacroCover, error)) (*MacroCover, error) {
-	if mc.stages != nil {
-		v, hit, err := mc.stages.Do(context.Background(), mc.class, key, func() (any, error) {
-			return compute()
-		})
-		if err != nil {
-			mc.misses.Add(1)
-			return nil, err
-		}
-		cover, ok := v.(*MacroCover)
-		if !ok {
-			// A foreign artifact under our class (renamed backing
-			// misconfiguration); behave like a miss.
-			mc.misses.Add(1)
-			return compute()
-		}
-		if hit {
-			mc.hits.Add(1)
-		} else {
-			mc.misses.Add(1)
-		}
-		return cover, nil
-	}
-	mc.mu.Lock()
-	e, ok := mc.mem[key]
-	if !ok {
-		e = &macroEntry{}
-		mc.mem[key] = e
-	}
-	mc.mu.Unlock()
-	computed := false
-	e.once.Do(func() {
-		e.cover, e.err = compute()
-		computed = true
+	v, hit, err := mc.stages.Do(context.Background(), mc.class, key, func() (any, error) {
+		return compute()
 	})
-	if e.err != nil {
-		// Errors are not cached: drop the entry so a later call retries.
-		mc.mu.Lock()
-		if mc.mem[key] == e {
-			delete(mc.mem, key)
-		}
-		mc.mu.Unlock()
+	if err != nil {
 		mc.misses.Add(1)
-		return nil, e.err
+		return nil, err
 	}
-	if computed || !ok {
+	cover, ok := v.(*MacroCover)
+	if !ok {
+		// A foreign artifact under our class (renamed backing
+		// misconfiguration); behave like a miss.
 		mc.misses.Add(1)
-	} else {
+		return compute()
+	}
+	if hit {
 		mc.hits.Add(1)
+	} else {
+		mc.misses.Add(1)
 	}
-	return e.cover, nil
+	return cover, nil
 }
 
 // macroInstance is the per-instance analysis of one tagged macro range:

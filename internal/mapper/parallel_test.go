@@ -109,39 +109,49 @@ func TestMapWorkerInvariance(t *testing.T) {
 }
 
 // TestMacroReuseSharesCovers maps the same macro-tagged network twice
-// through one shared MacroCache: the second run must hit the memo for
-// every distinct macro, and both results must be bit-identical.
+// through one MacroCache — over a shared pipeline.Cache and over the
+// private one NewMacroCache(nil, ...) builds: the second run must hit
+// the memo for every distinct macro, and both results must be
+// bit-identical.
 func TestMacroReuseSharesCovers(t *testing.T) {
 	net := netgen.MuxNetwork(8, 8)
-	opt := DefaultOptions()
-	opt.MacroReuse = MacroOn
-	opt.MacroMinGates = 1
-	opt.Macros = NewMacroCache(pipeline.NewCache(), "macro-test")
+	for _, tc := range []struct {
+		name   string
+		stages *pipeline.Cache
+	}{
+		{"shared", pipeline.NewCache()},
+		{"private", nil},
+	} {
+		opt := DefaultOptions()
+		opt.MacroReuse = MacroOn
+		opt.MacroMinGates = 1
+		opt.Macros = NewMacroCache(tc.stages, "macro-test")
 
-	first, err := Map(net, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.MacroInstances == 0 {
-		t.Fatal("macro reuse did not engage on a tagged mux network")
-	}
-	h0, m0 := opt.Macros.Stats()
-	if m0 != int64(first.MacroDistinct) {
-		t.Fatalf("first run misses = %d, want %d (one per distinct macro)", m0, first.MacroDistinct)
-	}
-	second, err := Map(net, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1, m1 := opt.Macros.Stats()
-	if m1 != m0 {
-		t.Fatalf("second run recomputed covers: misses %d -> %d", m0, m1)
-	}
-	if h1-h0 != int64(second.MacroInstances) {
-		t.Fatalf("second run hits = %d, want %d (every instance served from memo)", h1-h0, second.MacroInstances)
-	}
-	if resultFingerprint(first) != resultFingerprint(second) {
-		t.Fatal("memo-served mapping differs from fresh mapping")
+		first, err := Map(net, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.MacroInstances == 0 {
+			t.Fatalf("%s: macro reuse did not engage on a tagged mux network", tc.name)
+		}
+		h0, m0 := opt.Macros.Stats()
+		if m0 != int64(first.MacroDistinct) {
+			t.Fatalf("%s: first run misses = %d, want %d (one per distinct macro)", tc.name, m0, first.MacroDistinct)
+		}
+		second, err := Map(net, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h1, m1 := opt.Macros.Stats()
+		if m1 != m0 {
+			t.Fatalf("%s: second run recomputed covers: misses %d -> %d", tc.name, m0, m1)
+		}
+		if h1-h0 != int64(second.MacroInstances) {
+			t.Fatalf("%s: second run hits = %d, want %d (every instance served from memo)", tc.name, h1-h0, second.MacroInstances)
+		}
+		if resultFingerprint(first) != resultFingerprint(second) {
+			t.Fatalf("%s: memo-served mapping differs from fresh mapping", tc.name)
+		}
 	}
 }
 
