@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/binding"
 	"repro/internal/modsel"
+	"repro/internal/pipeline"
 	"repro/internal/satable"
 )
 
@@ -38,24 +39,21 @@ var ablationVariants = []string{
 }
 
 // ablationSpec resolves one variant into its binding-stage spec and its
-// (optional) module-selection request. The estimator variants allocate
-// their own SA tables; the stage cache keys tables by content
+// (optional) module-selection request. Every variant starts from the
+// mainline LOPASS or HLPower a=0.5 spec, so the config's bind settings
+// (BindK, BindExact, BindJobs) reach the study. The estimator variants
+// allocate their own SA tables; the stage cache keys tables by content
 // fingerprint, so repeated studies on one session still share binds.
 func ablationSpec(variant string, cfg Config, zeroTable, najmTable *satable.Table) (bindSpec, *modsel.Options) {
 	switch variant {
 	case "LOPASS":
-		return bindSpec{algo: "lopass", table: cfg.BaselineTable}, nil
+		return specForBinder(BinderLOPASS, cfg), nil
 	case "LOPASS-flow":
-		return bindSpec{algo: "lopass-flow"}, nil
+		spec := specForBinder(BinderLOPASS, cfg)
+		spec.algo, spec.table = "lopass-flow", nil
+		return spec, nil
 	}
-	spec := bindSpec{
-		algo:          "hlpower",
-		alpha:         0.5,
-		betaAdd:       cfg.BetaAdd,
-		betaMult:      cfg.BetaMult,
-		mergesPerIter: 1,
-		table:         cfg.Table,
-	}
+	spec := specForBinder(BinderHLPower05, cfg)
 	var ms *modsel.Options
 	switch variant {
 	case "HLPower-zerodelay":
@@ -88,9 +86,14 @@ func AblationData(ctx context.Context, se *Session) ([]AblationRow, error) {
 	zeroTable := satable.NewForArch(cfg.Width, satable.EstimatorZeroDelay, cfg.Arch)
 	najmTable := satable.NewForArch(cfg.Width, satable.EstimatorNajm, cfg.Arch)
 	perBench := make([][]AblationRow, len(se.Benchmarks))
+	ctx = pipeline.WithTraces(ctx, se.trace)
 	err := firstError(runItems(ctx, len(se.Benchmarks), se.Jobs, true, func(ctx context.Context, bi int) error {
 		p := se.Benchmarks[bi]
-		fe, rba, err := se.frontEnd(ctx, p)
+		fe, err := stageSchedule.Exec(ctx, se.stages, p)
+		if err != nil {
+			return err
+		}
+		rba, err := stageRegbind.Exec(ctx, se.stages, regbindIn{name: p.Name, fe: fe, portSeed: cfg.PortSeed})
 		if err != nil {
 			return err
 		}
@@ -98,11 +101,11 @@ func AblationData(ctx context.Context, se *Session) ([]AblationRow, error) {
 			spec, ms := ablationSpec(variant, cfg, zeroTable, najmTable)
 			ba, err := stageBind.Exec(ctx, se.stages, bindIn{
 				name: p.Name, binder: variant, fe: fe, rba: rba, rc: p.RC, spec: spec,
-			}, se.trace)
+			})
 			if err != nil {
 				return err
 			}
-			_, ma, _, rep, err := runBackEnd(ctx, se.stages, cfg, fe, rba, ba, p.Name, variant, ms, se.trace)
+			_, ma, _, rep, err := runBackEnd(ctx, se.stages, cfg, fe, rba, ba, p.Name, variant, ms)
 			if err != nil {
 				return err
 			}

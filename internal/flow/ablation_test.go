@@ -25,6 +25,35 @@ func TestAblationRendersAllVariants(t *testing.T) {
 	}
 }
 
+// TestAblationHonoursBindSettings: the ablation's LOPASS and
+// HLPower-glitch variants are the mainline binds, so under a non-default
+// row bound (Config.BindK) they must reproduce Table 3's columns.
+func TestAblationHonoursBindSettings(t *testing.T) {
+	cfg := testConfig()
+	cfg.BindK = 2
+	se := NewSession(cfg)
+	pr, _ := workload.ByName("pr")
+	se.Benchmarks = []workload.Profile{pr}
+	t3, err := Table3Data(bgc, se)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := AblationData(bgc, se)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]AblationRow{
+		"LOPASS":         {PowerMW: t3[0].PowerL, LUTs: t3[0].LUTsL},
+		"HLPower-glitch": {PowerMW: t3[0].PowerH, LUTs: t3[0].LUTsH},
+	}
+	for _, r := range rows {
+		if w, ok := want[r.Variant]; ok && (r.PowerMW != w.PowerMW || r.LUTs != w.LUTs) {
+			t.Errorf("%s: %.4f mW / %d LUTs, Table 3 has %.4f mW / %d LUTs",
+				r.Variant, r.PowerMW, r.LUTs, w.PowerMW, w.LUTs)
+		}
+	}
+}
+
 func TestRunWithModSel(t *testing.T) {
 	cfg := testConfig()
 	ms := modsel.DefaultOptions()

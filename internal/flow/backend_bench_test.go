@@ -78,14 +78,15 @@ func BenchmarkFlowBackend(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		var tr pipeline.Trace
+		ctx := pipeline.WithTraces(bgc, &tr)
 		var luts int
 		var hits, misses int64
 		for i := 0; i < b.N; i++ {
 			cache := pipeline.NewCache()
-			dp, err := stageDatapath.Exec(bgc, cache, datapathIn{
+			dp, err := stageDatapath.Exec(ctx, cache, datapathIn{
 				name: p.Name, binder: BinderLOPASS.Name, fe: fe, rba: rba, ba: ba,
 				width: cfg.Width, modsel: ms, jobs: jobs,
-			}, &tr)
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -96,17 +97,17 @@ func BenchmarkFlowBackend(b *testing.B) {
 			} else {
 				mopt.MacroReuse = mapper.MacroOff
 			}
-			ma, err := stageMap.Exec(bgc, cache, mapIn{
+			ma, err := stageMap.Exec(ctx, cache, mapIn{
 				name: p.Name, binder: BinderLOPASS.Name, dp: dp,
 				preOpt: cfg.PreOptimize, mapOpt: mopt, archFP: archFP,
-			}, &tr)
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := stagePower.Exec(bgc, cache, powerIn{
+			if _, err := stagePower.Exec(ctx, cache, powerIn{
 				name: p.Name, binder: BinderLOPASS.Name,
 				ma: ma, counts: counts, simKey: sk, arch: cfg.Arch,
-			}, &tr); err != nil {
+			}); err != nil {
 				b.Fatal(err)
 			}
 			luts = ma.m.LUTs

@@ -341,18 +341,15 @@ func (se *Session) runKey(p workload.Profile, b Binder) string {
 // execution and return the identical *Result. A failed execution is not
 // cached: concurrent waiters retry under their own context, and a later
 // Run recomputes the pair from whatever stage artifacts survived.
+//
+// If this call ends up executing the pipeline (rather than being served
+// from the run cache or waiting out another caller's execution), every
+// stage span is also recorded into the traces ctx carries
+// (pipeline.WithTraces) as it completes — the daemon's progress
+// streaming attaches an observer to such a trace.
 func (se *Session) Run(ctx context.Context, p workload.Profile, b Binder) (*Result, error) {
-	return se.RunTraced(ctx, p, b, nil)
-}
-
-// RunTraced is Run with a live per-request trace: if this call ends up
-// executing the pipeline (rather than being served from the run cache
-// or waiting out another caller's execution), every stage span is also
-// recorded into tr as it completes — the daemon's progress streaming
-// attaches an observer to tr. A nil tr is Run.
-func (se *Session) RunTraced(ctx context.Context, p workload.Profile, b Binder, tr *pipeline.Trace) (*Result, error) {
-	return se.run(ctx, se.runKey(p, b), p.Name, p.RC, b, tr, func(trs []*pipeline.Trace) (*schedArtifact, error) {
-		return stageSchedule.Exec(ctx, se.stages, p, trs...)
+	return se.run(ctx, se.runKey(p, b), p.Name, p.RC, b, func(ctx context.Context) (*schedArtifact, error) {
+		return stageSchedule.Exec(ctx, se.stages, p)
 	})
 }
 
@@ -376,7 +373,7 @@ func (se *Session) RunGraphCtx(ctx context.Context, g *cdfg.Graph, name string, 
 	key := "graph|" + pipeline.NewHasher().
 		Str(fe.fp).Int(rc.Add).Int(rc.Mult).Str(specForBinder(b, se.Cfg).fp()).
 		Sum()
-	return se.run(ctx, key, name, rc, b, nil, func([]*pipeline.Trace) (*schedArtifact, error) {
+	return se.run(ctx, key, name, rc, b, func(context.Context) (*schedArtifact, error) {
 		return fe, nil
 	})
 }
@@ -385,19 +382,16 @@ func (se *Session) RunGraphCtx(ctx context.Context, g *cdfg.Graph, name string, 
 // demands key from the run cache and, on a miss, obtains the scheduled
 // front end from front and executes the staged pipeline through the
 // session's stage cache. Stage spans go to the session trace, the
-// Result's own trace and, when non-nil, the caller's live trace.
-func (se *Session) run(ctx context.Context, key, name string, rc cdfg.ResourceConstraint, b Binder, live *pipeline.Trace, front func(trs []*pipeline.Trace) (*schedArtifact, error)) (*Result, error) {
+// Result's own trace and any traces the caller's ctx carries.
+func (se *Session) run(ctx context.Context, key, name string, rc cdfg.ResourceConstraint, b Binder, front func(context.Context) (*schedArtifact, error)) (*Result, error) {
 	v, _, err := se.runs.Do(ctx, runClass, key, func() (any, error) {
 		var tr pipeline.Trace
-		traces := []*pipeline.Trace{se.trace, &tr}
-		if live != nil {
-			traces = append(traces, live)
-		}
-		fe, err := front(traces)
+		ctx := pipeline.WithTraces(ctx, se.trace, &tr)
+		fe, err := front(ctx)
 		if err != nil {
 			return nil, err
 		}
-		r, err := runPipeline(ctx, se.stages, se.Cfg, fe, name, rc, b, traces...)
+		r, err := runPipeline(ctx, se.stages, se.Cfg, fe, name, rc, b)
 		if err != nil {
 			return nil, err
 		}
@@ -419,21 +413,6 @@ func (se *Session) Peek(p workload.Profile, b Binder) (*Result, bool) {
 		return nil, false
 	}
 	return v.(*Result), true
-}
-
-// frontEnd returns the session's shared scheduled graph and register
-// binding for a benchmark (computing or fetching them through the stage
-// cache). The ablation and sweep generators start from it.
-func (se *Session) frontEnd(ctx context.Context, p workload.Profile) (*schedArtifact, *regbindArtifact, error) {
-	fe, err := stageSchedule.Exec(ctx, se.stages, p, se.trace)
-	if err != nil {
-		return nil, nil, err
-	}
-	rba, err := stageRegbind.Exec(ctx, se.stages, regbindIn{name: p.Name, fe: fe, portSeed: se.Cfg.PortSeed}, se.trace)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fe, rba, nil
 }
 
 // StageStats returns the per-stage cache counters of the session's

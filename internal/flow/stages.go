@@ -478,7 +478,7 @@ var stageBind = pipeline.Stage[bindIn, *bindArtifact]{
 const StageBindIter = "bind.iter"
 
 // emitIterSpans records one bind.iter span per engine merge round into
-// the traces of the executing stage call. Spans ride the compute path,
+// the traces the context carries. Spans ride the compute path,
 // so a cached binding never re-emits them.
 func emitIterSpans(ctx context.Context, bench, algo string, rep *core.Report) {
 	for _, it := range rep.Iters {
@@ -610,12 +610,12 @@ var stagePower = pipeline.Stage[powerIn, power.Report]{
 // runBackEnd executes the post-binding stages (datapath, map, sim,
 // power) for one bound design. The ablation study and the mainline
 // pipeline share it.
-func runBackEnd(ctx context.Context, cache *pipeline.Cache, cfg Config, fe *schedArtifact, rba *regbindArtifact, ba *bindArtifact, name, binderName string, ms *modsel.Options, trs ...*pipeline.Trace) (*dpArtifact, *mapArtifact, sim.Counts, power.Report, error) {
+func runBackEnd(ctx context.Context, cache *pipeline.Cache, cfg Config, fe *schedArtifact, rba *regbindArtifact, ba *bindArtifact, name, binderName string, ms *modsel.Options) (*dpArtifact, *mapArtifact, sim.Counts, power.Report, error) {
 	jobs := par.Jobs(cfg.MapJobs)
 	dp, err := stageDatapath.Exec(ctx, cache, datapathIn{
 		name: name, binder: binderName, fe: fe, rba: rba, ba: ba,
 		width: cfg.Width, modsel: ms, jobs: jobs,
-	}, trs...)
+	})
 	if err != nil {
 		return nil, nil, sim.Counts{}, power.Report{}, err
 	}
@@ -631,7 +631,7 @@ func runBackEnd(ctx context.Context, cache *pipeline.Cache, cfg Config, fe *sche
 		name: name, binder: binderName, dp: dp,
 		preOpt: cfg.PreOptimize, mapOpt: mopt,
 		archFP: cfg.Arch.Fingerprint(),
-	}, trs...)
+	})
 	if err != nil {
 		return nil, nil, sim.Counts{}, power.Report{}, err
 	}
@@ -641,14 +641,14 @@ func runBackEnd(ctx context.Context, cache *pipeline.Cache, cfg Config, fe *sche
 		vectors: cfg.Vectors, vectorSeed: cfg.VectorSeed,
 		simJobs: cfg.SimJobs, simWide: cfg.SimWide,
 	}
-	counts, err := stageSim.Exec(ctx, cache, sin, trs...)
+	counts, err := stageSim.Exec(ctx, cache, sin)
 	if err != nil {
 		return nil, nil, sim.Counts{}, power.Report{}, err
 	}
 	rep, err := stagePower.Exec(ctx, cache, powerIn{
 		name: name, binder: binderName,
 		ma: ma, counts: counts, simKey: simKey(sin), arch: cfg.Arch,
-	}, trs...)
+	})
 	if err != nil {
 		return nil, nil, sim.Counts{}, power.Report{}, err
 	}
@@ -657,19 +657,19 @@ func runBackEnd(ctx context.Context, cache *pipeline.Cache, cfg Config, fe *sche
 
 // runPipeline executes the staged pipeline from a scheduled front end
 // through the measurement back end, assembling the full Result record.
-func runPipeline(ctx context.Context, cache *pipeline.Cache, cfg Config, fe *schedArtifact, name string, rc cdfg.ResourceConstraint, b Binder, trs ...*pipeline.Trace) (*Result, error) {
-	rba, err := stageRegbind.Exec(ctx, cache, regbindIn{name: name, fe: fe, portSeed: cfg.PortSeed}, trs...)
+func runPipeline(ctx context.Context, cache *pipeline.Cache, cfg Config, fe *schedArtifact, name string, rc cdfg.ResourceConstraint, b Binder) (*Result, error) {
+	rba, err := stageRegbind.Exec(ctx, cache, regbindIn{name: name, fe: fe, portSeed: cfg.PortSeed})
 	if err != nil {
 		return nil, err
 	}
 	ba, err := stageBind.Exec(ctx, cache, bindIn{
 		name: name, binder: b.Name, fe: fe, rba: rba, rc: rc,
 		spec: specForBinder(b, cfg),
-	}, trs...)
+	})
 	if err != nil {
 		return nil, err
 	}
-	dp, ma, counts, rep, err := runBackEnd(ctx, cache, cfg, fe, rba, ba, name, b.Name, resolveModSel(cfg), trs...)
+	dp, ma, counts, rep, err := runBackEnd(ctx, cache, cfg, fe, rba, ba, name, b.Name, resolveModSel(cfg))
 	if err != nil {
 		return nil, err
 	}

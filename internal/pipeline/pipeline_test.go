@@ -218,8 +218,9 @@ func TestStageExecCachesAndTraces(t *testing.T) {
 		Size: func(out int) int { return out },
 	}
 	var tr Trace
+	ctx := WithTraces(bg, &tr)
 	for i := 0; i < 2; i++ {
-		out, err := double.Exec(bg, c, 21, &tr)
+		out, err := double.Exec(ctx, c, 21)
 		if err != nil || out != 42 {
 			t.Fatalf("Exec: %v %v", out, err)
 		}
@@ -239,6 +240,32 @@ func TestStageExecCachesAndTraces(t *testing.T) {
 	}
 }
 
+// TestWithTracesAppends: traces accumulate down a context chain — an
+// Exec (and its body's AddSpan sub-spans) under an inner WithTraces
+// records into the outer trace as well, sibling contexts do not see
+// each other's traces, and the outer context is unchanged.
+func TestWithTracesAppends(t *testing.T) {
+	st := Stage[int, int]{
+		Name: "s",
+		Run: func(ctx context.Context, in int) (int, error) {
+			AddSpan(ctx, Span{Stage: "sub"})
+			return in, nil
+		},
+	}
+	var outer, a, b Trace
+	octx := WithTraces(bg, &outer)
+	actx := WithTraces(octx, &a)
+	bctx := WithTraces(octx, &b)
+	for _, ctx := range []context.Context{actx, bctx, bctx, octx} {
+		if _, err := st.Exec(ctx, nil, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := [3]int{len(outer.Spans()), len(a.Spans()), len(b.Spans())}; got != [3]int{8, 2, 4} {
+		t.Fatalf("outer/a/b span counts %v, want [8 2 4]", got)
+	}
+}
+
 func TestStageExecNilCacheAndNilTrace(t *testing.T) {
 	runs := 0
 	st := Stage[int, int]{
@@ -247,8 +274,9 @@ func TestStageExecNilCacheAndNilTrace(t *testing.T) {
 		Run:  func(_ context.Context, in int) (int, error) { runs++; return in, nil },
 	}
 	var nilTrace *Trace
+	ctx := WithTraces(bg, nilTrace)
 	for i := 0; i < 2; i++ {
-		if _, err := st.Exec(bg, nil, 1, nilTrace); err != nil {
+		if _, err := st.Exec(ctx, nil, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -99,8 +99,12 @@ type Stage[In, Out any] struct {
 }
 
 // Exec runs the stage on in through cache c (nil = always compute),
-// recording one span into every non-nil trace. Concurrent Exec calls
-// with the same key share a single successful Run.
+// recording one span into every trace the context carries (WithTraces).
+// The stage body runs under the same context, so its sub-spans
+// (AddSpan) land in those traces too; they ride the compute path only —
+// a cache hit never re-enters Run, so sub-spans are recorded exactly
+// once per computed artifact. Concurrent Exec calls with the same key
+// share a single successful Run.
 //
 // Failure model: every error Exec returns is a *StageError (or wraps
 // one) carrying the stage name, the input's Scope, and the cache key —
@@ -111,7 +115,7 @@ type Stage[In, Out any] struct {
 // the artifact cache cannot retain poisoned entries. If the context
 // carries a FaultInjector (WithInjector), it is consulted inside the
 // compute path — cache hits are never re-injected.
-func (s Stage[In, Out]) Exec(ctx context.Context, c *Cache, in In, traces ...*Trace) (Out, error) {
+func (s Stage[In, Out]) Exec(ctx context.Context, c *Cache, in In) (Out, error) {
 	start := time.Now()
 	key := ""
 	if s.Key != nil {
@@ -124,16 +128,11 @@ func (s Stage[In, Out]) Exec(ctx context.Context, c *Cache, in In, traces ...*Tr
 	var out Out
 	var err error
 	hit := false
-	// Run under a context carrying the call's traces so the stage body
-	// can emit sub-spans (AddSpan). They ride the compute path only: a
-	// cache hit never re-enters Run, so sub-spans are recorded exactly
-	// once per computed artifact.
-	rctx := WithTraces(ctx, traces...)
 	if c == nil || key == "" {
-		out, err = s.runSafe(rctx, in, key, sc)
+		out, err = s.runSafe(ctx, in, key, sc)
 	} else {
 		var v any
-		v, hit, err = c.Do(ctx, s.Name, key, func() (any, error) { return s.runSafe(rctx, in, key, sc) })
+		v, hit, err = c.Do(ctx, s.Name, key, func() (any, error) { return s.runSafe(ctx, in, key, sc) })
 		if err == nil {
 			out = v.(Out)
 		}
@@ -145,9 +144,7 @@ func (s Stage[In, Out]) Exec(ctx context.Context, c *Cache, in In, traces ...*Tr
 	if err == nil && s.Size != nil {
 		sp.Size = s.Size(out)
 	}
-	for _, tr := range traces {
-		tr.Add(sp)
-	}
+	AddSpan(ctx, sp)
 	return out, err
 }
 

@@ -2,20 +2,20 @@ package pipeline
 
 import "context"
 
-// tracesCtxKey carries a stage execution's traces through the context,
-// so the stage body can record sub-spans without threading trace
+// tracesCtxKey carries the traces spans are recorded into through the
+// context, so neither stage callers nor stage bodies thread trace
 // arguments through every layer.
 type tracesCtxKey struct{}
 
-// WithTraces returns a context carrying the traces for AddSpan. Exec
-// installs it around each compute, replacing any traces an outer stage
-// installed, so sub-spans always land in the traces of the stage
-// actually running.
+// WithTraces returns a context carrying the traces for Exec and AddSpan:
+// the given traces are appended to any the context already carries, so
+// a caller adds its own trace on top of those its caller installed.
 func WithTraces(ctx context.Context, traces ...*Trace) context.Context {
 	if len(traces) == 0 {
 		return ctx
 	}
-	return context.WithValue(ctx, tracesCtxKey{}, traces)
+	outer, _ := ctx.Value(tracesCtxKey{}).([]*Trace)
+	return context.WithValue(ctx, tracesCtxKey{}, append(outer[:len(outer):len(outer)], traces...))
 }
 
 // AddSpan records a span into every trace carried by the context; with

@@ -82,7 +82,8 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 }
 
 // configOverrides are the per-request session knobs shared by every
-// flow endpoint. Zero values mean "the server's base configuration".
+// flow endpoint. Zero values mean "the server's base configuration";
+// negative sizes are rejected.
 type configOverrides struct {
 	Arch    string `json:"arch,omitempty"`
 	Width   int    `json:"width,omitempty"`
@@ -108,11 +109,11 @@ func (o configOverrides) apply(base flow.Config) (flow.Config, error) {
 		}
 		cfg.Arch = t
 	}
-	if o.Width > satable.MaxLoadWidth {
-		return cfg, badRequest("width %d exceeds the maximum %d", o.Width, satable.MaxLoadWidth)
+	if o.Width < 0 || o.Width > satable.MaxLoadWidth {
+		return cfg, badRequest("width %d outside [0, %d]", o.Width, satable.MaxLoadWidth)
 	}
-	if o.Vectors > maxVectors {
-		return cfg, badRequest("vectors %d exceeds the maximum %d", o.Vectors, maxVectors)
+	if o.Vectors < 0 || o.Vectors > maxVectors {
+		return cfg, badRequest("vectors %d outside [0, %d]", o.Vectors, maxVectors)
 	}
 	if o.Width > 0 {
 		cfg.Width = o.Width
@@ -274,7 +275,7 @@ func (s *Server) streamBind(w http.ResponseWriter, ctx context.Context, se *flow
 	tr.SetObserver(func(sp pipeline.Span) {
 		emit(streamEvent{Type: "span", Span: &sp})
 	})
-	res, err := se.RunTraced(ctx, p, b, tr)
+	res, err := se.Run(pipeline.WithTraces(ctx, tr), p, b)
 	if err != nil {
 		emit(streamEvent{Type: "error", Error: err.Error()})
 		return nil

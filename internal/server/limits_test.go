@@ -30,8 +30,21 @@ func chainIngest(n int) *IngestRequest {
 
 // TestSizeBounds pins each untrusted-size cap: the value at the bound
 // is accepted, and the value one past it is rejected as a 400 whose
-// message names the bound.
+// message names the bound. Width and vectors are also bounded below:
+// zero means the base configuration, a negative value is a 400.
 func TestSizeBounds(t *testing.T) {
+	base := testConfig()
+	for _, o := range []configOverrides{{Width: -1}, {Width: -3}, {Vectors: -1}, {Vectors: -5}} {
+		var he *httpError
+		if _, err := o.apply(base); !errors.As(err, &he) || he.status != http.StatusBadRequest {
+			t.Errorf("%+v: got %v, want a 400", o, err)
+		}
+	}
+	if cfg, err := (configOverrides{}).apply(base); err != nil || cfg.Width != base.Width || cfg.Vectors != base.Vectors {
+		t.Errorf("zero overrides: width %d vectors %d err %v, want the base %d/%d",
+			cfg.Width, cfg.Vectors, err, base.Width, base.Vectors)
+	}
+
 	for _, tc := range []struct {
 		name  string
 		bound int
@@ -80,6 +93,8 @@ func TestOversizedRequestsRejectedOverHTTP(t *testing.T) {
 	}{
 		{"/v1/bind", fmt.Sprintf(`{"bench":"pr","width":%d}`, w+1), w},
 		{"/v1/bind", fmt.Sprintf(`{"bench":"pr","vectors":%d}`, maxVectors+1), maxVectors},
+		{"/v1/bind", `{"bench":"pr","vectors":-1}`, maxVectors},
+		{"/v1/sweep", `{"alphas":[0.5],"width":-2}`, w},
 		{"/v1/sweep", fmt.Sprintf(`{"alphas":[0.5],"width":%d}`, w+1), w},
 		{"/v1/ingest", fmt.Sprintf(`{"width":%d,"name":"g","inputs":["a","b"],"ops":[{"name":"s","kind":"add","args":["a","b"]}],"outputs":["s"],"rc":{"add":1,"mult":1}}`, w+1), w},
 		{"/v1/ingest", string(bigGraph), maxIngestOps},
