@@ -91,6 +91,25 @@ func main() {
 		inject    = flag.String("inject", "", "arm the fault injector: comma-separated key=value list (seed, stage, bench, binder, perror, ppanic, pdelay, delay), e.g. 'seed=1,stage=map,perror=1'")
 	)
 	flag.Parse()
+	if *width < 1 {
+		usageErr(fmt.Errorf("-width must be >= 1, got %d", *width))
+	}
+	if *vectors < 1 {
+		usageErr(fmt.Errorf("-vectors must be >= 1, got %d", *vectors))
+	}
+	if *bindK < 0 {
+		usageErr(fmt.Errorf("-bindk must be >= 0, got %d", *bindK))
+	}
+	if *bindK > 0 && *bindExact {
+		usageErr(fmt.Errorf("-bindk and -exact are mutually exclusive"))
+	}
+	var alphas []float64
+	if *alphaList != "" {
+		var err error
+		if alphas, err = parseAlphas(*alphaList); err != nil {
+			usageErr(err)
+		}
+	}
 
 	// Ctrl-C / SIGTERM / -timeout all cancel the same context; every
 	// pipeline stage and the sim inner loop observe it cooperatively. A
@@ -164,12 +183,6 @@ func main() {
 		return
 	}
 
-	if *bindK < 0 {
-		usageErr(fmt.Errorf("-bindk must be >= 0, got %d", *bindK))
-	}
-	if *bindK > 0 && *bindExact {
-		usageErr(fmt.Errorf("-bindk and -exact are mutually exclusive"))
-	}
 	cfg.BindK = *bindK
 	cfg.BindExact = *bindExact
 	cfg.BindJobs = *jobs
@@ -210,10 +223,6 @@ func main() {
 			fatal(err)
 		}
 	case *alphaList != "":
-		alphas, err := parseAlphas(*alphaList)
-		if err != nil {
-			usageErr(err)
-		}
 		fmt.Println("=== Alpha sweep ===")
 		if err := flow.AlphaSweep(ctx, os.Stdout, se, alphas); err != nil {
 			fatal(err)
@@ -290,13 +299,17 @@ func main() {
 	}
 }
 
-// parseAlphas parses the -alphasweep value list.
+// parseAlphas parses the -alphasweep value list; every alpha must lie
+// in [0, 1].
 func parseAlphas(s string) ([]float64, error) {
 	var alphas []float64
 	for _, f := range strings.Split(s, ",") {
 		a, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad -alphasweep value %q: %w", f, err)
+		}
+		if !(a >= 0 && a <= 1) { // also rejects NaN
+			return nil, fmt.Errorf("-alphasweep value %v outside [0, 1]", a)
 		}
 		alphas = append(alphas, a)
 	}

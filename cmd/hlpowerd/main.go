@@ -76,6 +76,12 @@ func main() {
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "hlpowerd: ", log.LstdFlags)
+	if *width < 1 {
+		usageErr(fmt.Errorf("-width must be >= 1, got %d", *width))
+	}
+	if *vectors < 1 {
+		usageErr(fmt.Errorf("-vectors must be >= 1, got %d", *vectors))
+	}
 
 	target, ok := arch.ByName(*archName)
 	if !ok {
