@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/binding"
 	"repro/internal/cdfg"
+	"repro/internal/matching"
 	"repro/internal/regbind"
 	"repro/internal/workload"
 )
@@ -115,6 +117,48 @@ func TestSeedsMatchFullRescore(t *testing.T) {
 		opt.MergesPerIteration = c.mpi
 		matchOracle(t, fmt.Sprintf("%s mpi=%d", c.name, c.mpi), g, s, rb, rc, opt)
 	}
+}
+
+// TestRoundsMatchPaddedSolve checks the assignment solve on every
+// engine round of the paper benchmarks at the flow's settings, one
+// merge per round. Each round's nU×nV solve, which skips its dummy
+// rows whenever that is exact, must equal the same round posed as
+// max(nU,nV)×nV: there the dummy rows are real rows without edges, so
+// every one of them runs, exactly as in the padded solve
+// (TestMaxWeightMatchesPadded ties that call to a verbatim copy of it).
+func TestRoundsMatchPaddedSolve(t *testing.T) {
+	total := 0
+	for _, p := range workload.Benchmarks {
+		g, s, rb, rc, opt := flowCase(t, p.Name)
+		opt.MergesPerIteration = 1
+		rounds := 0
+		var bad string
+		testHookOnEdges = func(iter, nU, nV int, edges []matching.Edge) {
+			rounds++
+			if bad != "" {
+				return
+			}
+			got, gotT := matching.MaxWeight(nU, nV, edges)
+			want, wantT := matching.MaxWeight(max(nU, nV), nV, edges)
+			if math.Float64bits(gotT) != math.Float64bits(wantT) || !reflect.DeepEqual(got, want[:nU]) {
+				bad = fmt.Sprintf("round %d (nU=%d nV=%d): matchU %v total %v, padded %v total %v",
+					iter, nU, nV, got, gotT, want[:nU], wantT)
+			}
+		}
+		_, rep, err := Bind(g, s, rb, rc, opt)
+		testHookOnEdges = nil
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if bad != "" {
+			t.Fatalf("%s: %s", p.Name, bad)
+		}
+		if rounds != rep.Iterations || rounds == 0 {
+			t.Fatalf("%s: hook saw %d rounds, report %d", p.Name, rounds, rep.Iterations)
+		}
+		total += rounds
+	}
+	t.Logf("%d rounds over %d benchmarks", total, len(workload.Benchmarks))
 }
 
 // TestSparseFullKMatchesExactOnSeeds is the sparsification soundness

@@ -1,12 +1,12 @@
 package matching
 
 // Sparse maximum-weight bipartite matching by successive shortest
-// augmenting paths on the edge list itself — no padded n×n matrix. The
+// augmenting paths on the edge list itself — no cost matrix at all. The
 // binding engine's sparse candidate rounds have nU ~ the resource
 // constraint, nV ~ the live node count, and only nU·k real edges, so
-// the dense Hungarian solve (which pads to max(nU,nV)² cells and runs
-// O(n³)) is the wrong shape; SSP runs in O(matches · E) with E the
-// real edge count.
+// even the dense Hungarian solve's nU×n matrix (n = max(nU,nV), built
+// and searched in O(nU²·n)) holds nV/k cells per real edge; SSP runs in
+// O(matches · E) with E the real edge count.
 //
 // Semantics match Solver.MaxWeight exactly: vertices may stay
 // unmatched, only positive-weight edges are ever taken, and the
@@ -32,7 +32,7 @@ type sparseArc struct {
 
 // sparseState carries the reusable SSP scratch. It lives inside Solver
 // so engine callers recycle one allocation set across merge rounds, and
-// shrinks alongside the dense scratch (see Solver.shrink).
+// shrinks alongside the dense scratch (see Solver.grow).
 type sparseState struct {
 	arcs  []sparseArc
 	head  [][]int // adjacency: node -> arc indices
@@ -214,10 +214,11 @@ func (s *Solver) MaxWeightSparse(nU, nV int, edges []Edge) (matchU []int, total 
 }
 
 // sparseAutoMinN and sparseAutoDensity gate the automatic solver
-// choice: below this problem size the padded dense Hungarian solve is
-// cheap and (being the historical solver) keeps results bit-identical
-// to every golden; above it, rounds whose real-edge density is low run
-// the SSP path instead.
+// choice: below this problem size the dense Hungarian solve is cheap
+// and (being the historical solver) keeps results bit-identical to
+// every golden; above it, rounds whose real-edge density is low run the
+// SSP path instead. Density is measured against n², the padded problem
+// the threshold was drawn on; keeping it keeps every round's route.
 const (
 	sparseAutoMinN    = 512
 	sparseAutoDensity = 0.10
@@ -226,8 +227,10 @@ const (
 // MaxWeightAuto picks the solver by problem shape: dense Hungarian for
 // small or dense rounds (bit-identical to the historical behaviour),
 // SSP for large sparse ones. The crossover is deliberately
-// conservative — Hungarian pads to max(nU,nV)², so a 10k-node round
-// with 2k candidate edges would touch 10⁸ cells for 2·10³ real ones.
+// conservative — the Hungarian matrix has nU·max(nU,nV) cells, so a
+// round of 16 U-nodes against 10k V-nodes with 10³ candidate edges
+// builds 1.6·10⁵ cells for 10³ real ones, and every search step scans
+// all 10⁴ columns.
 func (s *Solver) MaxWeightAuto(nU, nV int, edges []Edge) (matchU []int, total float64) {
 	n := nU
 	if nV > n {

@@ -131,10 +131,27 @@ func TestAutoSelection(t *testing.T) {
 	}
 }
 
-// TestSolverShrinks: after one oversized solve, a sequence of small
-// solves must release the O(n²) scratch instead of pinning it forever.
+// TestSolverShrinks: the cost scratch is sized to a solve's rows×n
+// need, never padded to n×n, and one oversized solve must not pin its
+// scratch: a later solve whose rows×n need is far smaller releases it.
 func TestSolverShrinks(t *testing.T) {
+	const wideU, wideV = 8, 4000
+	var wide []Edge
+	for u := 0; u < wideU; u++ {
+		wide = append(wide, Edge{u, 500 * u, 1})
+	}
+	// Tripwire: 8 rows over 4000 columns hold (8+1)×4000 cells (the
+	// real rows plus the dummy row); padding to n×n held 16M.
+	wideCap := func(s *Solver, when string) {
+		t.Helper()
+		if c := cap(s.cost); c > (wideU+1)*wideV {
+			t.Fatalf("%s: %dx%d solve holds %d cost cells, want at most %d", when, wideU, wideV, c, (wideU+1)*wideV)
+		}
+	}
 	s := NewSolver()
+	s.MaxWeight(wideU, wideV, wide)
+	wideCap(s, "fresh solver")
+
 	var big []Edge
 	for u := 0; u < 600; u++ {
 		big = append(big, Edge{u, u, 1})
@@ -143,6 +160,11 @@ func TestSolverShrinks(t *testing.T) {
 	if cap(s.cost) < 600*600 {
 		t.Fatalf("big solve should have grown cost to 600x600, got %d", cap(s.cost))
 	}
+	// The wide solve's n×n would exceed the held 600×600; its rows×n
+	// need is a tenth of it, so the scratch is released and resized.
+	s.MaxWeight(wideU, wideV, wide)
+	wideCap(s, "after a 600x600 solve")
+
 	s.MaxWeight(4, 4, []Edge{{0, 1, 2}})
 	if cap(s.cost) > shrinkFloorSq {
 		t.Fatalf("cost scratch not released after small solve: cap %d", cap(s.cost))

@@ -149,8 +149,35 @@ func (t *Table) Fingerprint() string {
 // safely serves any number of widths, estimators, and architectures.
 func (t *Table) AttachStore(st *store.Store) {
 	class := "sa@" + t.Fingerprint()
-	st.RegisterCodec("sa@", store.Float64())
+	st.RegisterCodec("sa@", saCodec{store.Float64()})
 	t.cache.SetBacking(pipeline.RenameBacking(st, func(string) string { return class }))
+}
+
+// checkSA is the one validity rule for SA values that arrive from
+// outside the characterizer, snapshot rows (Load) and store entries
+// (saCodec) alike: an SA value is a finite, non-negative number.
+func checkSA(sa float64) error {
+	if math.IsNaN(sa) || math.IsInf(sa, 0) || sa < 0 {
+		return fmt.Errorf("SA value %g is not a finite non-negative number", sa)
+	}
+	return nil
+}
+
+// saCodec is the sa@ classes' store codec: store.Float64's exact round
+// trip, with each decoded value held to checkSA. A decode error makes
+// the store quarantine the entry, so a bad value is recomputed instead
+// of reaching the Eq. 4 weights.
+type saCodec struct{ store.Codec }
+
+func (c saCodec) Decode(r io.Reader) (any, error) {
+	v, err := c.Codec.Decode(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkSA(v.(float64)); err != nil {
+		return nil, fmt.Errorf("satable: %w", err)
+	}
+	return v, nil
 }
 
 // CheckArch reports an error when the table was characterized under a
@@ -451,8 +478,8 @@ func Load(r io.Reader) (*Table, error) {
 		if kl < 1 || kl > maxLoadMux || kr < 1 || kr > maxLoadMux {
 			return nil, rowErr(lineStart, "mux sizes (%d,%d) out of range [1,%d]", kl, kr, maxLoadMux)
 		}
-		if math.IsNaN(sa) || math.IsInf(sa, 0) || sa < 0 {
-			return nil, rowErr(lineStart, "SA value %g is not a finite non-negative number", sa)
+		if err := checkSA(sa); err != nil {
+			return nil, rowErr(lineStart, "%w", err)
 		}
 		ks := keyString(Key{Kind: netgen.FUKind(kind), KL: kl, KR: kr})
 		if prev, dup := seen[ks]; dup {

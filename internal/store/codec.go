@@ -20,9 +20,10 @@ type Codec interface {
 }
 
 // Float64 returns the codec for plain float64 artifacts (the SA-table
-// entry class). Values are stored in Go's shortest round-trip decimal
-// form, the same discipline satable's text snapshots rely on, so the
-// decoded float is bit-identical to the encoded one.
+// entry classes wrap it with their own validity check). Values are
+// stored in Go's shortest round-trip decimal form, the same discipline
+// satable's text snapshots rely on, so the decoded float is
+// bit-identical to the encoded one.
 func Float64() Codec { return float64Codec{} }
 
 type float64Codec struct{}
