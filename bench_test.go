@@ -12,6 +12,7 @@ import (
 	"repro/internal/binding"
 	"repro/internal/cdfg"
 	"repro/internal/core"
+	"repro/internal/datapath"
 	"repro/internal/flow"
 	"repro/internal/glitch"
 	"repro/internal/logic"
@@ -263,31 +264,38 @@ func BenchmarkBind(b *testing.B) {
 // BenchmarkSim measures the simulation stage across mapped netlist
 // sizes: the scalar reference engine vs the word-parallel 64-lane
 // engine the flow runs (small/medium = combinational array
-// multipliers, large = a latched pipelined multiplier). cycles/sec is
-// the throughput metric; transitions/op records the (engine-identical)
-// workload so runs are comparable. CI runs this once as a smoke test.
+// multipliers, large = a latched pipelined multiplier, pr = the flow's
+// own shape: the mapped pr datapath, whose step-counter FSM and
+// registers read their own Q, so the pre-pass evaluates its whole
+// network every cycle). cycles/sec is the throughput metric;
+// transitions/op records the (engine-identical) workload so runs are
+// comparable. CI runs this once as a smoke test.
 func BenchmarkSim(b *testing.B) {
 	const vectors = 256
+	mapped := func(net *logic.Network) *logic.Network {
+		res, err := mapper.Map(net, mapper.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res.Mapped
+	}
 	for _, tc := range []struct {
 		size string
 		net  *logic.Network
 	}{
-		{"small", netgen.MultiplierNetwork(6)},
-		{"medium", netgen.MultiplierNetwork(8)},
-		{"large", netgen.PipelinedMultiplierNetwork(12, 2)},
+		{"small", mapped(netgen.MultiplierNetwork(6))},
+		{"medium", mapped(netgen.MultiplierNetwork(8))},
+		{"large", mapped(netgen.PipelinedMultiplierNetwork(12, 2))},
+		{"pr", prDatapath(b)},
 	} {
 		tc := tc
-		res, err := mapper.Map(tc.net, mapper.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		vec := sim.RandomVectors(len(res.Mapped.Inputs), vectors, 1)
+		vec := sim.RandomVectors(len(tc.net.Inputs), vectors, 1)
 		report := func(b *testing.B, c sim.Counts) {
 			b.ReportMetric(float64(int64(b.N)*vectors)/b.Elapsed().Seconds(), "cycles/sec")
 			b.ReportMetric(float64(c.Total()), "transitions/op")
 		}
 		b.Run(tc.size+"/scalar", func(b *testing.B) {
-			s, err := sim.NewWithDelays(res.Mapped, sim.DelayHeterogeneous, 7)
+			s, err := sim.NewWithDelays(tc.net, sim.DelayHeterogeneous, 7)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -300,7 +308,7 @@ func BenchmarkSim(b *testing.B) {
 			report(b, c)
 		})
 		b.Run(tc.size+"/word", func(b *testing.B) {
-			w, err := sim.NewWordWithDelays(res.Mapped, sim.DelayHeterogeneous, 7)
+			w, err := sim.NewWordWithDelays(tc.net, sim.DelayHeterogeneous, 7)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -312,6 +320,28 @@ func BenchmarkSim(b *testing.B) {
 			report(b, c)
 		})
 	}
+}
+
+// prDatapath builds the mapped pr datapath as the flow does at its
+// default configuration, bound by LOPASS.
+func prDatapath(b *testing.B) *logic.Network {
+	b.Helper()
+	g, s, rb, swap := frontEnd(b, "pr")
+	p, _ := workload.ByName("pr")
+	cfg := flow.DefaultConfig()
+	res, _, err := lopass.Bind(g, s, rb, p.RC, lopass.Options{Swap: swap, Table: cfg.BaselineTable})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := datapath.Elaborate(g, s, rb, res, cfg.Width)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := mapper.Map(d.Net, cfg.MapOpt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m.Mapped
 }
 
 // BenchmarkMap measures the cut-based technology mapper across target

@@ -167,29 +167,6 @@ func (t *TruthTable) AppendOnSet(dst []uint16) []uint16 {
 	return dst
 }
 
-// CompactCover returns the smaller of the function's on-set and
-// off-set as a minterm list, with inverted reporting which one it is
-// (inverted = the off-set, so the function is the cover's complement).
-// The cover has at most 2^(NumVars-1) terms; word-level evaluators use
-// it to OR the fewest AND-terms (minterm expansion over fanin words).
-func (t *TruthTable) CompactCover() (minterms []uint16, inverted bool) {
-	size := t.Size()
-	ones := 0
-	for m := 0; m < size; m++ {
-		if t.Get(uint(m)) {
-			ones++
-		}
-	}
-	inverted = ones*2 > size
-	want := !inverted
-	for m := 0; m < size; m++ {
-		if t.Get(uint(m)) == want {
-			minterms = append(minterms, uint16(m))
-		}
-	}
-	return minterms, inverted
-}
-
 // Clone returns a deep copy of t.
 func (t *TruthTable) Clone() *TruthTable {
 	c := &TruthTable{n: t.n, words: make([]uint64, len(t.words))}

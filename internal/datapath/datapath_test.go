@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/binding"
+	"repro/internal/bitvec"
 	"repro/internal/cdfg"
 	"repro/internal/core"
+	"repro/internal/logic"
 	"repro/internal/lopass"
 	"repro/internal/regbind"
 	"repro/internal/satable"
@@ -201,5 +203,44 @@ func TestCounterWraps(t *testing.T) {
 	}
 	if len(seen) != d.StepCount {
 		t.Fatalf("counter visited %d of %d steps", len(seen), d.StepCount)
+	}
+}
+
+// TestLibraryTablesShared asserts every gate-library table is one
+// shared instance, that an elaborated datapath's gates point at those
+// instances, and that elaboration leaves each table unchanged.
+func TestLibraryTablesShared(t *testing.T) {
+	lib := map[string]func() *bitvec.TruthTable{
+		"buf": logic.TTBuf, "not": logic.TTNot, "and2": logic.TTAnd2, "or2": logic.TTOr2,
+		"xor2": logic.TTXor2, "nand2": logic.TTNand2, "nor2": logic.TTNor2,
+		"xor3": logic.TTXor3, "maj3": logic.TTMaj3, "mux2": logic.TTMux2,
+	}
+	before := make(map[*bitvec.TruthTable]*bitvec.TruthTable)
+	for name, get := range lib {
+		if get() != get() {
+			t.Errorf("%s: two calls returned different tables", name)
+		}
+		before[get()] = get().Clone()
+	}
+
+	g := workload.FIR(4)
+	s, rb, res := bindWithHLPower(t, g, cdfg.ResourceConstraint{Add: 2, Mult: 2})
+	d, err := Elaborate(g, s, rb, res, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	for _, nd := range d.Net.Nodes {
+		if _, ok := before[nd.Func]; ok {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Error("no elaborated gate uses a library table")
+	}
+	for name, get := range lib {
+		if !get().Equal(before[get()]) {
+			t.Errorf("%s: table changed during elaboration: %s, was %s", name, get(), before[get()])
+		}
 	}
 }

@@ -94,7 +94,9 @@ type configOverrides struct {
 // O(width²)-gate array multipliers and every distinct override derives
 // a new session, so width is capped at the SA table's own load bound
 // (satable.MaxLoadWidth) and vectors at maxVectors. maxIngestOps caps
-// inline ingest graphs; it still admits the 10032-op ctrl-10k tier.
+// inline ingest graphs, and their rc.add and rc.mult, since the binders
+// allocate and score every constrained unit; it still admits the
+// 10032-op ctrl-10k tier.
 const (
 	maxVectors   = 100000
 	maxIngestOps = 16384

@@ -68,7 +68,10 @@ type IngestResult struct {
 	Regs      int     `json:"regs"`
 }
 
-// buildIngestGraph lowers the inline spec to a validated CDFG.
+// buildIngestGraph validates the inline spec, resource constraint
+// included, and lowers it to a validated CDFG. Each constrained unit is
+// allocated and scored by the binders, so rc is bounded like the op
+// count: more units than ops can never be used.
 func buildIngestGraph(req *IngestRequest) (*cdfg.Graph, error) {
 	if req.Name == "" {
 		return nil, badRequest("ingest: name is required")
@@ -78,6 +81,12 @@ func buildIngestGraph(req *IngestRequest) (*cdfg.Graph, error) {
 	}
 	if len(req.Ops) > maxIngestOps {
 		return nil, badRequest("ingest: %d ops exceed the maximum %d", len(req.Ops), maxIngestOps)
+	}
+	if req.RC.Add < 1 || req.RC.Mult < 1 {
+		return nil, badRequest("ingest: rc.add and rc.mult must be >= 1")
+	}
+	if req.RC.Add > maxIngestOps || req.RC.Mult > maxIngestOps {
+		return nil, badRequest("ingest: rc.add %d / rc.mult %d exceed the maximum %d", req.RC.Add, req.RC.Mult, maxIngestOps)
 	}
 	g := cdfg.NewGraph(req.Name)
 	ids := make(map[string]int, len(req.Inputs)+len(req.Ops))
@@ -237,9 +246,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	g, err := buildIngestGraph(&req)
 	if err != nil {
 		return err
-	}
-	if req.RC.Add < 1 || req.RC.Mult < 1 {
-		return badRequest("ingest: rc.add and rc.mult must be >= 1")
 	}
 	b, err := binderFor(req.Binder, req.Alpha)
 	if err != nil {

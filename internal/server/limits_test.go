@@ -62,6 +62,18 @@ func TestSizeBounds(t *testing.T) {
 			_, err := buildIngestGraph(chainIngest(n))
 			return err
 		}},
+		{"ingest rc.add", maxIngestOps, func(n int) error {
+			req := chainIngest(3)
+			req.RC.Add = n
+			_, err := buildIngestGraph(req)
+			return err
+		}},
+		{"ingest rc.mult", maxIngestOps, func(n int) error {
+			req := chainIngest(3)
+			req.RC.Mult = n
+			_, err := buildIngestGraph(req)
+			return err
+		}},
 	} {
 		if err := tc.check(tc.bound); err != nil {
 			t.Errorf("%s at the bound %d rejected: %v", tc.name, tc.bound, err)
@@ -98,6 +110,8 @@ func TestOversizedRequestsRejectedOverHTTP(t *testing.T) {
 		{"/v1/sweep", fmt.Sprintf(`{"alphas":[0.5],"width":%d}`, w+1), w},
 		{"/v1/ingest", fmt.Sprintf(`{"width":%d,"name":"g","inputs":["a","b"],"ops":[{"name":"s","kind":"add","args":["a","b"]}],"outputs":["s"],"rc":{"add":1,"mult":1}}`, w+1), w},
 		{"/v1/ingest", string(bigGraph), maxIngestOps},
+		{"/v1/ingest", fmt.Sprintf(`{"name":"g","inputs":["a","b"],"ops":[{"name":"s","kind":"add","args":["a","b"]}],"outputs":["s"],"rc":{"add":%d,"mult":1}}`, maxIngestOps+1), maxIngestOps},
+		{"/v1/ingest", fmt.Sprintf(`{"name":"g","inputs":["a","b"],"ops":[{"name":"s","kind":"add","args":["a","b"]}],"outputs":["s"],"rc":{"add":1,"mult":%d}}`, 3000000), maxIngestOps},
 	} {
 		resp, body := postJSON(t, ts.Client(), ts.URL+tc.path, tc.body)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), strconv.Itoa(tc.bound)) {

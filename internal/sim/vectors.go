@@ -24,10 +24,12 @@ func newVectorSource(numInputs int, seed int64) *vectorSource {
 }
 
 // next returns the next vector of the sequence. The returned slice is
-// reused by the following call.
+// reused by the following call. Each bit is the draw rng.Intn(2) == 0,
+// read straight from bit 32 of Int63: for a power of two, Intn masks
+// Int31, which is Int63 >> 32 (TestVectorSourceMatchesIntn).
 func (v *vectorSource) next() []bool {
 	for i := range v.buf {
-		v.buf[i] = v.rng.Intn(2) == 0
+		v.buf[i] = v.rng.Int63()&(1<<32) == 0
 	}
 	return v.buf
 }

@@ -48,10 +48,10 @@ type WordSimulator struct {
 	maxDelay int
 	plans    []gatePlan
 	gateIDs  []int
-	// coneOps is the levelized latch D-cone program the pre-pass
-	// evaluates once per cycle to track the latch trajectory (empty for
+	// cone is the compiled latch D-cone program the pre-pass evaluates
+	// once per cycle to track the latch trajectory (empty for
 	// combinational networks).
-	coneOps []coneOp
+	cone coneProgram
 	// constIDs/constVals list the constant sources once; their node
 	// values never change.
 	constIDs  []int
@@ -68,31 +68,44 @@ type WordSimulator struct {
 	counts Counts
 }
 
-// coneOp is one levelized gate evaluation of the latch-cone program.
-// For gates of up to 6 inputs the truth table is the single word tt;
-// wider gates fall back to the full table.
-type coneOp struct {
-	id     int
-	fanins []int
-	tt     uint64
-	big    *bitvec.TruthTable
+// wordVars is the most variables a truth table held in one uint64 can
+// have. A mapped LUT has at most 6 inputs, so its table fits one word.
+const wordVars = 6
+
+// coneProgram is the latch D-cone compiled for the pre-pass. Node
+// values live in a []uint8 of 0s and 1s with one extra slot, at index
+// NumNodes, that always holds 0. Narrow op k (a gate of at most
+// wordVars inputs) writes node ids[k] with bit a of its table word
+// tts[k], where bit i of a is the value of fanin slot i; a gate with
+// fewer inputs pads its slots with the zero slot, so the unused address
+// bits are 0. Ops run in ascending node order, which is topological.
+type coneProgram struct {
+	ids    []int32
+	fanins [][wordVars]int32
+	tts    []uint64
+	// wide lists the gates of more than wordVars inputs in program
+	// order; none occur in a mapped network.
+	wide []wideConeOp
+	// latchD is each latch's D node, indexed like Network.Latches.
+	latchD []int32
 }
 
-// gatePlan is the word-level evaluation plan of one gate: the minterm
-// expansion of its truth table over fanin words. minterms enumerates
-// the smaller polarity (the function's on-set, or its off-set with
-// invert) so evaluation cost is at most 2^(k-1) terms.
+// wideConeOp is a cone gate of more than wordVars inputs. It runs
+// after the first at narrow ops and reads its bit from the table's
+// words.
+type wideConeOp struct {
+	at     int
+	id     int32
+	fanins []int32
+	words  []uint64
+}
+
+// gatePlan is the word-level evaluation plan of one gate: its fanins
+// and the words of its truth table (see evalInto).
 type gatePlan struct {
-	isGate   bool
-	fanins   []int
-	minterms []uint16
-	invert   bool
-}
-
-func newGatePlan(nd *logic.Node) gatePlan {
-	p := gatePlan{isGate: true, fanins: nd.Fanins}
-	p.minterms, p.invert = nd.Func.CompactCover()
-	return p
+	isGate bool
+	fanins []int
+	words  []uint64
 }
 
 // MaxWide bounds the lane-group width of one event pass: up to
@@ -124,37 +137,88 @@ func (w *WordSimulator) SetWide(n int) {
 // evalInto computes the gate's output words for wdt lane groups at
 // once, reading fanin f's group-j word at val[f*wdt+j] and writing the
 // wdt output words to out (which may alias val: the result is staged in
-// a register array). One pass over the minterm expansion serves all
-// wdt groups.
+// a register array).
 func (p *gatePlan) evalInto(val []uint64, wdt int, out []uint64) {
-	var acc [MaxWide]uint64
-	for _, m := range p.minterms {
-		var term [MaxWide]uint64
+	var res [MaxWide]uint64
+	k := len(p.fanins)
+	if k > wordVars {
+		var x [bitvec.MaxVars]uint64
 		for j := 0; j < wdt; j++ {
-			term[j] = ^uint64(0)
-		}
-		for i, f := range p.fanins {
-			fw := val[f*wdt : f*wdt+wdt]
-			if m>>uint(i)&1 == 0 {
-				for j := 0; j < wdt; j++ {
-					term[j] &= ^fw[j]
-				}
-			} else {
-				for j := 0; j < wdt; j++ {
-					term[j] &= fw[j]
-				}
+			for i, f := range p.fanins {
+				x[i] = val[f*wdt+j]
 			}
+			res[j] = shannonWide(p.words, x[:k])
 		}
+	} else {
+		var x [wordVars]uint64
 		for j := 0; j < wdt; j++ {
-			acc[j] |= term[j]
+			for i, f := range p.fanins {
+				x[i] = val[f*wdt+j]
+			}
+			res[j] = shannon(p.words[0], &x, k)
 		}
 	}
-	if p.invert {
-		for j := 0; j < wdt; j++ {
-			acc[j] = ^acc[j]
-		}
+	copy(out, res[:wdt])
+}
+
+// mux returns a where s is 0 and b where s is 1, bit by bit.
+func mux(a, b, s uint64) uint64 { return a ^ ((a ^ b) & s) }
+
+// shannon evaluates a table of k <= wordVars variables, held in the
+// word tt, over the fanin words x[:k] by Shannon expansion, without
+// data-dependent branches. Minterms 2m and 2m+1 differ only in x0, so
+// their two table bits pick leaf m from {0, ¬x0, x0, 1}; the 2^(k-1)
+// leaves then merge through x1..x(k-1): t_i is the tree of the low 2^i
+// bits of its table over x0..x(i-1).
+func shannon(tt uint64, x *[wordVars]uint64, k int) uint64 {
+	x0 := x[0]
+	pick := [4]uint64{0, ^x0, x0, ^uint64(0)}
+	t2 := func(t uint64) uint64 { return mux(pick[t&3], pick[t>>2&3], x[1]) }
+	t3 := func(t uint64) uint64 { return mux(t2(t), t2(t>>4), x[2]) }
+	t4 := func(t uint64) uint64 { return mux(t3(t), t3(t>>8), x[3]) }
+	t5 := func(t uint64) uint64 { return mux(t4(t), t4(t>>16), x[4]) }
+	switch k {
+	case 0:
+		return -(tt & 1)
+	case 1:
+		return pick[tt&3]
+	case 2:
+		return t2(tt)
+	case 3:
+		return t3(tt)
+	case 4:
+		return t4(tt)
+	case 5:
+		return t5(tt)
 	}
-	copy(out, acc[:wdt])
+	return mux(t5(tt), t5(tt>>32), x[5])
+}
+
+// shannonWide evaluates a table of more than wordVars variables: each
+// word is the sub-tree over x0..x5 for one assignment of the upper
+// variables, and muxTree combines the sub-tree results through them.
+func shannonWide(words []uint64, x []uint64) uint64 {
+	var buf [1 << (bitvec.MaxVars - wordVars)]uint64
+	sub := buf[:len(words)]
+	var low [wordVars]uint64
+	copy(low[:], x)
+	for w, tt := range words {
+		sub[w] = shannon(tt, &low, wordVars)
+	}
+	return muxTree(sub, x[wordVars:])
+}
+
+// muxTree folds the 2^len(x) words of buf through the variables x,
+// lowest first, each level muxing pairs of words; buf is overwritten.
+func muxTree(buf, x []uint64) uint64 {
+	for _, xi := range x {
+		half := len(buf) / 2
+		for m := 0; m < half; m++ {
+			buf[m] = mux(buf[2*m], buf[2*m+1], xi)
+		}
+		buf = buf[:half]
+	}
+	return buf[0]
 }
 
 // NewWord creates a unit-delay word-parallel simulator.
@@ -180,7 +244,7 @@ func NewWordWithDelays(net *logic.Network, model DelayModel, seed int64) (*WordS
 	for _, nd := range net.Nodes {
 		switch nd.Kind {
 		case logic.KindGate:
-			w.plans[nd.ID] = newGatePlan(nd)
+			w.plans[nd.ID] = gatePlan{isGate: true, fanins: nd.Fanins, words: nd.Func.Words()}
 			w.gateIDs = append(w.gateIDs, nd.ID)
 		case logic.KindConst:
 			w.constIDs = append(w.constIDs, nd.ID)
@@ -191,27 +255,67 @@ func NewWordWithDelays(net *logic.Network, model DelayModel, seed int64) (*WordS
 	return w, nil
 }
 
-// buildConeProgram levelizes the latch D-input cones — the only part
-// of the network that stands between one cycle's latch state and the
-// next — into the per-cycle program the pre-pass evaluates. The
-// trajectory is inherently sequential for the flow's netlists: every
-// elaborated datapath carries a step-counter FSM whose latches read
-// their own Q. Gates of up to 6 inputs inline their truth table into a
-// single word.
+// buildConeProgram compiles the latch D-input cones — the only part of
+// the network that stands between one cycle's latch state and the next —
+// into the per-cycle program the pre-pass evaluates. The trajectory is
+// inherently sequential for the flow's netlists: every elaborated
+// datapath carries a step-counter FSM whose latches read their own Q,
+// and the cone of its registers is the whole mapped network.
 func (w *WordSimulator) buildConeProgram() {
+	p := &w.cone
+	zero := int32(w.net.NumNodes())
 	for _, id := range w.net.LatchConeGates() {
 		nd := w.net.Node(id)
-		op := coneOp{id: id, fanins: nd.Fanins}
-		if nd.Func.NumVars() <= 6 {
-			for m := 0; m < nd.Func.Size(); m++ {
-				if nd.Func.Get(uint(m)) {
-					op.tt |= 1 << uint(m)
-				}
+		if len(nd.Fanins) > wordVars {
+			op := wideConeOp{at: len(p.ids), id: int32(id), words: nd.Func.Words()}
+			for _, f := range nd.Fanins {
+				op.fanins = append(op.fanins, int32(f))
 			}
-		} else {
-			op.big = nd.Func
+			p.wide = append(p.wide, op)
+			continue
 		}
-		w.coneOps = append(w.coneOps, op)
+		var slots [wordVars]int32
+		for i := range slots {
+			slots[i] = zero
+			if i < len(nd.Fanins) {
+				slots[i] = int32(nd.Fanins[i])
+			}
+		}
+		p.ids = append(p.ids, int32(id))
+		p.fanins = append(p.fanins, slots)
+		p.tts = append(p.tts, nd.Func.Words()[0])
+	}
+	for _, q := range w.net.Latches {
+		p.latchD = append(p.latchD, int32(w.net.Node(q).LatchInput))
+	}
+}
+
+// run evaluates the program over the node values v (len NumNodes+1),
+// narrow ops in runs between the wide ones.
+func (p *coneProgram) run(v []uint8) {
+	lo := 0
+	for i := range p.wide {
+		op := &p.wide[i]
+		p.runNarrow(v, lo, op.at)
+		var a uint
+		for j, f := range op.fanins {
+			a |= uint(v[f]) << uint(j)
+		}
+		v[op.id] = uint8(op.words[a>>6] >> (a & 63) & 1)
+		lo = op.at
+	}
+	p.runNarrow(v, lo, len(p.ids))
+}
+
+// runNarrow evaluates narrow ops lo..hi-1: one table-word shift per op.
+func (p *coneProgram) runNarrow(v []uint8, lo, hi int) {
+	tts := p.tts[lo:hi]
+	fanins := p.fanins[lo:hi]
+	for k, id := range p.ids[lo:hi] {
+		f := &fanins[k]
+		a := uint(v[f[0]]) | uint(v[f[1]])<<1 | uint(v[f[2]])<<2 |
+			uint(v[f[3]])<<3 | uint(v[f[4]])<<4 | uint(v[f[5]])<<5
+		v[id] = uint8(tts[k] >> (a & 63) & 1)
 	}
 }
 
@@ -263,19 +367,19 @@ func (w *WordSimulator) prepass(ctx context.Context, vectors [][]bool) ([]laneGr
 	numIn := len(w.net.Inputs)
 	numL := len(w.net.Latches)
 	groups := make([]laneGroup, (len(vectors)+63)/64)
-	// inPrev/stPrev describe cycle c-1 — the cycle whose settled values
-	// are the start state of cycle c. Cycle -1 is the power-on state of
-	// Simulator.Reset: inputs low, latches at their init values.
-	inPrev := make([]bool, numIn)
-	stPrev := w.net.InitialLatchState()
-	stCur := make([]bool, numL)
-	var coneVal []bool
-	if numL > 0 {
-		coneVal = make([]bool, w.net.NumNodes())
-		for i, id := range w.constIDs {
-			coneVal[id] = w.constVals[i]
-		}
+	// v holds the node values of cycle c-1 — the cycle whose settled
+	// values are the start state of cycle c — plus the cone program's
+	// zero slot. Cycle -1 is the power-on state of Simulator.Reset:
+	// inputs low, latches at their init values.
+	latches := w.net.Latches
+	v := make([]uint8, w.net.NumNodes()+1)
+	for i, id := range w.constIDs {
+		v[id] = b2u8(w.constVals[i])
 	}
+	for _, q := range latches {
+		v[q] = b2u8(w.net.Node(q).LatchInit)
+	}
+	stCur := make([]uint8, numL)
 	for c, in := range vectors {
 		if len(in) != numIn {
 			panic("sim: input vector length mismatch")
@@ -291,53 +395,42 @@ func (w *WordSimulator) prepass(ctx context.Context, vectors [][]bool) ([]laneGr
 			g.latchQ = make([]uint64, numL)
 			g.startLatch = make([]uint64, numL)
 		}
-		bit := uint64(1) << uint(c&63)
+		lane := uint(c & 63)
 		g.lanes++
-		for i := range in {
-			if inPrev[i] {
-				g.startInputs[i] |= bit
-			}
-			if in[i] {
-				g.inputs[i] |= bit
-			}
-		}
 		if numL > 0 {
 			// st_c is the D slice of cycle c-1's settled state — the
-			// two-phase capture of Step, reached through the cone
-			// program alone.
-			for i, id := range w.net.Inputs {
-				coneVal[id] = inPrev[i]
+			// two-phase capture of Step: every D is read before any Q
+			// takes its new value.
+			w.cone.run(v)
+			startLatch, latchQ := g.startLatch, g.latchQ
+			for i, d := range w.cone.latchD {
+				stCur[i] = v[d]
+				startLatch[i] |= uint64(v[latches[i]]) << lane
+				latchQ[i] |= uint64(stCur[i]) << lane
 			}
-			for i, q := range w.net.Latches {
-				coneVal[q] = stPrev[i]
+			for i, q := range latches {
+				v[q] = stCur[i]
 			}
-			for _, op := range w.coneOps {
-				var assign uint
-				for i, f := range op.fanins {
-					if coneVal[f] {
-						assign |= 1 << uint(i)
-					}
-				}
-				if op.big != nil {
-					coneVal[op.id] = op.big.Eval(assign)
-				} else {
-					coneVal[op.id] = op.tt>>assign&1 == 1
-				}
-			}
-			for i, q := range w.net.Latches {
-				stCur[i] = coneVal[w.net.Node(q).LatchInput]
-				if stPrev[i] {
-					g.startLatch[i] |= bit
-				}
-				if stCur[i] {
-					g.latchQ[i] |= bit
-				}
-			}
-			stPrev, stCur = stCur, stPrev
 		}
-		copy(inPrev, in)
+		startInputs, inputs := g.startInputs, g.inputs
+		for i, id := range w.net.Inputs {
+			b := b2u8(in[i])
+			startInputs[i] |= uint64(v[id]) << lane
+			inputs[i] |= uint64(b) << lane
+			v[id] = b
+		}
 	}
 	return groups, nil
+}
+
+// b2u8 converts a bool to 0 or 1. In this form it compiles to no branch
+// at all: a bool already is the byte 0 or 1.
+func b2u8(b bool) uint8 {
+	var u uint8
+	if b {
+		u = 1
+	}
+	return u
 }
 
 // wordEvent is one scheduled gate-output change: the node and its new

@@ -6,16 +6,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/bitvec"
 	"repro/internal/logic"
 	"repro/internal/mapper"
 	"repro/internal/netgen"
 )
 
-// randomNetwork builds a random DAG of 1..4-input gates with random
+// randomNetwork builds a random DAG of 1..8-input gates with random
 // truth tables, optionally latched (latch D inputs wired to arbitrary
 // nodes, including forward references), for scalar-vs-word property
-// testing.
+// testing. Gates of 5 and 6 inputs fill a whole table word, and gates
+// of 7 and 8 inputs take the evaluators' multi-word paths.
 func randomNetwork(rng *rand.Rand, inputs, latches, gates int) *logic.Network {
 	net := logic.NewNetwork("rand")
 	for i := 0; i < inputs; i++ {
@@ -27,7 +29,7 @@ func randomNetwork(rng *rand.Rand, inputs, latches, gates int) *logic.Network {
 	}
 	net.AddConst("c0", rng.Intn(2) == 0)
 	for i := 0; i < gates; i++ {
-		k := 1 + rng.Intn(4)
+		k := 1 + rng.Intn(8)
 		fanins := make([]int, k)
 		for j := range fanins {
 			fanins[j] = rng.Intn(net.NumNodes())
@@ -42,29 +44,35 @@ func randomNetwork(rng *rand.Rand, inputs, latches, gates int) *logic.Network {
 	return net
 }
 
+// everyWorkerCount is the worker sweep of the equivalence tests.
+var everyWorkerCount = []int{1, 2, 3, 4, 5, 6, 7, 8}
+
 // requireSameRun asserts the word engine reproduces the scalar engine's
 // Counts and NodeTransitions exactly on the given stimulus, at every
-// worker count in 1..8.
-func requireSameRun(t *testing.T, net *logic.Network, model DelayModel, delaySeed int64, vectors [][]bool, label string) {
+// listed worker count and lane-group width.
+func requireSameRun(t *testing.T, net *logic.Network, model DelayModel, delaySeed int64, vectors [][]bool, label string, workerCounts, widths []int) {
 	t.Helper()
 	sc, err := NewWithDelays(net, model, delaySeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := sc.RunVectors(vectors)
-	for workers := 1; workers <= 8; workers++ {
-		w, err := NewWordWithDelays(net, model, delaySeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := w.RunVectors(vectors, workers)
-		if got != want {
-			t.Fatalf("%s workers=%d: word counts %+v, scalar %+v", label, workers, got, want)
-		}
-		for id := range sc.NodeTransitions {
-			if w.NodeTransitions[id] != sc.NodeTransitions[id] {
-				t.Fatalf("%s workers=%d: node %d transitions %d, scalar %d",
-					label, workers, id, w.NodeTransitions[id], sc.NodeTransitions[id])
+	for _, workers := range workerCounts {
+		for _, wide := range widths {
+			w, err := NewWordWithDelays(net, model, delaySeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.SetWide(wide)
+			got := w.RunVectors(vectors, workers)
+			if got != want {
+				t.Fatalf("%s workers=%d wide=%d: word counts %+v, scalar %+v", label, workers, wide, got, want)
+			}
+			for id := range sc.NodeTransitions {
+				if w.NodeTransitions[id] != sc.NodeTransitions[id] {
+					t.Fatalf("%s workers=%d wide=%d: node %d transitions %d, scalar %d",
+						label, workers, wide, id, w.NodeTransitions[id], sc.NodeTransitions[id])
+				}
 			}
 		}
 	}
@@ -88,7 +96,8 @@ func TestWordMatchesScalarRandomNetworks(t *testing.T) {
 		vectors := RandomVectors(len(net.Inputs), 100, int64(trial))
 		for _, model := range []DelayModel{DelayUnit, DelayHeterogeneous} {
 			requireSameRun(t, net, model, 5, vectors,
-				fmt.Sprintf("trial=%d latches=%d model=%d", trial, latches, model))
+				fmt.Sprintf("trial=%d latches=%d model=%d", trial, latches, model),
+				everyWorkerCount, []int{DefaultWide})
 		}
 	}
 }
@@ -150,24 +159,29 @@ func counterDatapathNetwork(w, steps int) *logic.Network {
 // under both delay models: combinational (array multiplier), an acyclic
 // latch graph (pipelined multiplier), and the flow's actual workload
 // shape — latch feedback through a wrapping step counter, as in every
-// elaborated datapath.
+// elaborated datapath — mapped to 6-LUTs as well, whose tables fill a
+// whole word.
 func TestWordMatchesScalarMapped(t *testing.T) {
+	k4 := mapper.DefaultOptions()
+	k6 := mapper.OptionsForArch(arch.StratixLike6LUT())
 	for _, tc := range []struct {
 		name string
 		net  *logic.Network
+		opt  mapper.Options
 	}{
-		{"mult6", netgen.MultiplierNetwork(6)},
-		{"pipemult6", netgen.PipelinedMultiplierNetwork(6, 2)},
-		{"counterdp6", counterDatapathNetwork(6, 5)},
+		{"mult6", netgen.MultiplierNetwork(6), k4},
+		{"pipemult6", netgen.PipelinedMultiplierNetwork(6, 2), k4},
+		{"counterdp6", counterDatapathNetwork(6, 5), k4},
+		{"counterdp6/k6", counterDatapathNetwork(6, 5), k6},
 	} {
-		res, err := mapper.Map(tc.net, mapper.DefaultOptions())
+		res, err := mapper.Map(tc.net, tc.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		vectors := RandomVectors(len(res.Mapped.Inputs), 200, 17)
 		for _, model := range []DelayModel{DelayUnit, DelayHeterogeneous} {
 			requireSameRun(t, res.Mapped, model, 7, vectors,
-				fmt.Sprintf("%s model=%d", tc.name, model))
+				fmt.Sprintf("%s model=%d", tc.name, model), everyWorkerCount, []int{DefaultWide})
 		}
 	}
 }
@@ -179,7 +193,8 @@ func TestWordTailGroups(t *testing.T) {
 	net := netgen.PipelinedMultiplierNetwork(4, 2)
 	for _, n := range []int{1, 63, 64, 65, 128, 130} {
 		vectors := RandomVectors(len(net.Inputs), n, 3)
-		requireSameRun(t, net, DelayHeterogeneous, 11, vectors, fmt.Sprintf("n=%d", n))
+		requireSameRun(t, net, DelayHeterogeneous, 11, vectors, fmt.Sprintf("n=%d", n),
+			everyWorkerCount, []int{DefaultWide})
 	}
 }
 
@@ -197,29 +212,9 @@ func TestWordWideMatchesScalar(t *testing.T) {
 	}
 	for _, tc := range nets {
 		for _, n := range []int{1, 64, 100, 257, 520} {
-			sc, err := NewWithDelays(tc.net, DelayHeterogeneous, 11)
-			if err != nil {
-				t.Fatal(err)
-			}
 			vectors := RandomVectors(len(tc.net.Inputs), n, 3)
-			want := sc.RunVectors(vectors)
-			for _, wide := range []int{1, 2, 3, 4, 8} {
-				w, err := NewWordWithDelays(tc.net, DelayHeterogeneous, 11)
-				if err != nil {
-					t.Fatal(err)
-				}
-				w.SetWide(wide)
-				got := w.RunVectors(vectors, 2)
-				if got != want {
-					t.Fatalf("%s n=%d wide=%d: word counts %+v, scalar %+v", tc.name, n, wide, got, want)
-				}
-				for id := range sc.NodeTransitions {
-					if w.NodeTransitions[id] != sc.NodeTransitions[id] {
-						t.Fatalf("%s n=%d wide=%d: node %d transitions %d, scalar %d",
-							tc.name, n, wide, id, w.NodeTransitions[id], sc.NodeTransitions[id])
-					}
-				}
-			}
+			requireSameRun(t, tc.net, DelayHeterogeneous, 11, vectors, fmt.Sprintf("%s n=%d", tc.name, n),
+				[]int{2}, []int{1, 2, 3, 4, 8})
 		}
 	}
 }
@@ -271,5 +266,21 @@ func TestWordCancellation(t *testing.T) {
 	cancel()
 	if _, err := w.RunRandomCtx(ctx, 500, 1, 4); err == nil {
 		t.Fatal("cancelled run returned no error")
+	}
+}
+
+// TestVectorSourceMatchesIntn pins the stimulus draw to rng.Intn(2) == 0,
+// the sequence every engine has always applied for a seed.
+func TestVectorSourceMatchesIntn(t *testing.T) {
+	for _, seed := range []int64{0, 1, 2009, 2010, -7} {
+		rng := rand.New(rand.NewSource(seed))
+		vs := newVectorSource(37, seed)
+		for c := 0; c < 200; c++ {
+			for i, got := range vs.next() {
+				if want := rng.Intn(2) == 0; got != want {
+					t.Fatalf("seed %d cycle %d input %d: drew %v, Intn drew %v", seed, c, i, got, want)
+				}
+			}
+		}
 	}
 }
