@@ -358,15 +358,24 @@ func (s *Store) Get(_ context.Context, class, key string) (any, bool) {
 }
 
 // readEntry reads and verifies one entry file, returning its payload.
+// The header's len is checked against the bytes the file actually holds
+// before the payload buffer is allocated, so a corrupt header cannot
+// demand an absurd allocation.
 func readEntry(path, class, key string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	rest := fi.Size() // bytes not yet consumed by the header
 	br := bufio.NewReader(f)
 	line := func() (string, error) {
 		l, err := br.ReadString('\n')
+		rest -= int64(len(l))
 		if err != nil {
 			return "", fmt.Errorf("truncated header: %w", err)
 		}
@@ -418,6 +427,9 @@ func readEntry(path, class, key string) ([]byte, error) {
 	}
 	if wantLen < 0 || !haveCRC {
 		return nil, fmt.Errorf("header missing len/crc32")
+	}
+	if wantLen > rest {
+		return nil, fmt.Errorf("payload truncated: header len=%d, %d bytes follow", wantLen, rest)
 	}
 	payload := make([]byte, wantLen)
 	if n, err := io.ReadFull(br, payload); err != nil {

@@ -2,8 +2,11 @@ package store
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -312,5 +315,82 @@ func TestFormatMismatchRefused(t *testing.T) {
 	}
 	if _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("Open adopted a future-format store")
+	}
+}
+
+// TestOversizedLenQuarantined plants entry headers whose len= exceeds
+// the bytes that follow: one absurdly large, one a byte too many. Each
+// must be a quarantined miss, never a panic (a huge len used to reach
+// make([]byte, len) and panic), and a demand through a store-backed
+// pipeline.Cache must recompute at once rather than wait on a key a
+// panicking backing read left in flight.
+func TestOversizedLenQuarantined(t *testing.T) {
+	lenRE := regexp.MustCompile(`(?m)^len=(\d+)$`)
+	for _, tc := range []struct {
+		name string
+		len  func(n int64) int64
+	}{
+		{"huge", func(int64) int64 { return 1 << 50 }},
+		{"one-over", func(n int64) int64 { return n + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openT(t, dir, Options{})
+			s.RegisterCodec("power", JSONOf[map[string]float64]())
+			want := map[string]float64{"mw": 76.5}
+			s.Put(context.Background(), "power", "k", want)
+
+			names, _ := os.ReadDir(filepath.Join(dir, "objects"))
+			if len(names) != 1 {
+				t.Fatalf("objects holds %d files, want 1", len(names))
+			}
+			path := filepath.Join(dir, "objects", names[0].Name())
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := lenRE.FindSubmatchIndex(b)
+			if m == nil {
+				t.Fatalf("no len= header line in %q", b)
+			}
+			n, _ := strconv.ParseInt(string(b[m[2]:m[3]]), 10, 64)
+			b = append(append(append([]byte(nil), b[:m[2]]...), strconv.FormatInt(tc.len(n), 10)...), b[m[3]:]...)
+			if err := os.WriteFile(path, b, 0o666); err != nil {
+				t.Fatal(err)
+			}
+
+			c := pipeline.NewCache()
+			c.SetBacking(s)
+			computed := 0
+			demand := func() (v any, hit bool, err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panicked: %v", r)
+					}
+				}()
+				ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+				defer cancel()
+				return c.Do(ctx, "power", "k", func() (any, error) {
+					computed++
+					return want, nil
+				})
+			}
+			if _, hit, err := demand(); err != nil || hit || computed != 1 {
+				t.Errorf("first demand: hit=%v err=%v computed=%d, want an immediate recompute", hit, err, computed)
+			}
+			if v, _, err := demand(); err != nil || v.(map[string]float64)["mw"] != want["mw"] {
+				t.Fatalf("second demand: %v, %v", v, err)
+			}
+			if st := s.Stats(); st.Quarantined != 1 {
+				t.Fatalf("Quarantined = %d, want 1", st.Quarantined)
+			}
+			if got := s.QuarantineLen(); got != 1 {
+				t.Fatalf("QuarantineLen = %d, want 1", got)
+			}
+			// The recompute was written through: the slot is healed.
+			if v, ok := s.Get(context.Background(), "power", "k"); !ok || v.(map[string]float64)["mw"] != want["mw"] {
+				t.Fatalf("healed Get = %v, %v", v, ok)
+			}
+		})
 	}
 }
