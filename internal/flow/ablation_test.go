@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cdfg"
-	"repro/internal/modsel"
 	"repro/internal/workload"
 )
 
@@ -51,20 +49,5 @@ func TestAblationHonoursBindSettings(t *testing.T) {
 			t.Errorf("%s: %.4f mW / %d LUTs, Table 3 has %.4f mW / %d LUTs",
 				r.Variant, r.PowerMW, r.LUTs, w.PowerMW, w.LUTs)
 		}
-	}
-}
-
-func TestRunWithModSel(t *testing.T) {
-	cfg := testConfig()
-	ms := modsel.DefaultOptions()
-	ms.Width = cfg.Width
-	cfg.ModSel = &ms
-	g := workload.FIR(6)
-	r, err := NewSession(cfg).RunGraphCtx(bgc, g, "fir6", cdfg.ResourceConstraint{Add: 2, Mult: 2}, BinderHLPower05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.LUTs <= 0 || r.Power.DynamicPowerMW <= 0 {
-		t.Fatal("modsel run produced no measurements")
 	}
 }

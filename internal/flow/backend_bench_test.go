@@ -19,10 +19,11 @@ import (
 //
 // Two arms:
 //
-//   - flat: macro covering off, one worker — the historical
-//     gate-at-a-time path.
-//   - memo: default auto macro covering (engages above
-//     mapper.DefaultMacroMinGates) with a session-style macro memo.
+//   - flat: a copy of the netlist with its macro tags cleared, one
+//     worker — the historical gate-at-a-time path.
+//   - memo: the flow's own netlist, whose macros are covered (it is
+//     above mapper.DefaultMacroMinGates) with a session-style macro
+//     memo.
 //
 // Reported metrics: per-stage wall clock (dp-ms/op, map-ms/op,
 // power-ms/op), the macro memo hit rate on the memo arm, and LUTs so a
@@ -57,7 +58,7 @@ func BenchmarkFlowBackend(b *testing.B) {
 	}
 	// One untimed back-end pass supplies the transition counts the
 	// power stage consumes in the timed loop.
-	_, ma0, counts, _, err := runBackEnd(bgc, pipeline.NewCache(), cfg, fe, rba, ba, p.Name, BinderLOPASS.Name, resolveModSel(cfg))
+	_, ma0, counts, _, err := runBackEnd(bgc, pipeline.NewCache(), cfg, fe, rba, ba, p.Name, BinderLOPASS.Name, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -67,7 +68,6 @@ func BenchmarkFlowBackend(b *testing.B) {
 		vectors: cfg.Vectors, vectorSeed: cfg.VectorSeed,
 		simJobs: cfg.SimJobs, simWide: cfg.SimWide,
 	})
-	ms := resolveModSel(cfg)
 	archFP := cfg.Arch.Fingerprint()
 
 	run := func(b *testing.B, memo bool) {
@@ -85,7 +85,7 @@ func BenchmarkFlowBackend(b *testing.B) {
 			cache := pipeline.NewCache()
 			dp, err := stageDatapath.Exec(ctx, cache, datapathIn{
 				name: p.Name, binder: BinderLOPASS.Name, fe: fe, rba: rba, ba: ba,
-				width: cfg.Width, modsel: ms, jobs: jobs,
+				width: cfg.Width, jobs: jobs,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -95,11 +95,15 @@ func BenchmarkFlowBackend(b *testing.B) {
 			if memo {
 				mopt.Macros = mapper.NewMacroCache(cache, "macro@"+archFP)
 			} else {
-				mopt.MacroReuse = mapper.MacroOff
+				net := *dp.d.Net
+				net.Macros = nil
+				d := *dp.d
+				d.Net = &net
+				dp = &dpArtifact{d: &d, fp: dp.fp}
 			}
 			ma, err := stageMap.Exec(ctx, cache, mapIn{
 				name: p.Name, binder: BinderLOPASS.Name, dp: dp,
-				preOpt: cfg.PreOptimize, mapOpt: mopt, archFP: archFP,
+				mapOpt: mopt, archFP: archFP,
 			})
 			if err != nil {
 				b.Fatal(err)

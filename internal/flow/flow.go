@@ -28,7 +28,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datapath"
 	"repro/internal/mapper"
-	"repro/internal/modsel"
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/satable"
@@ -61,7 +60,7 @@ type Config struct {
 	// the mapper covers with, the power model's constants, and an
 	// optional FPGA→ASIC projection applied to the final report. The
 	// arch is the only description of the fabric: Normalize derives
-	// MapOpt.K, Power and the SA tables from it, and its fingerprint
+	// MapOpt, Power and the SA tables from it, and its fingerprint
 	// participates in the bind, map, sim, and power stage cache keys
 	// (schedule/regbind are fabric-blind and shared across archs).
 	// Retarget by setting Arch and normalizing; a zero Arch normalizes
@@ -92,20 +91,10 @@ type Config struct {
 	// 16-bit resource library; the defaults here are the equivalent
 	// empirical calibration for this reproduction's 8-bit library.
 	BetaAdd, BetaMult float64
-	// MapOpt configures the technology mapper.
+	// MapOpt is the implementation mapping's configuration. Normalize
+	// always derives it from Arch (mapOptFor), overwriting any value set
+	// here.
 	MapOpt mapper.Options
-	// ModSel, when set, runs module selection (internal/modsel) after
-	// binding and elaborates the datapath with the selected adder and
-	// multiplier architectures — the future-work extension measured as
-	// an ablation.
-	ModSel *modsel.Options
-	// PreOptimize runs technology-independent cleanup (constant
-	// propagation, redundant-input elimination, structural hashing) on
-	// the elaborated netlist before mapping. Off by default — the
-	// recorded experiments map the raw elaboration; enabling it shrinks
-	// both implementations ~2-8% and shifts the comparison slightly
-	// (see EXPERIMENTS.md).
-	PreOptimize bool
 	// Delay selects the measurement simulator's delay model. The default
 	// is heterogeneous (1..3 units per LUT), modelling post-route timing
 	// spread as the paper's Quartus timing simulation does; the analytic
@@ -162,8 +151,6 @@ type Config struct {
 // the tables explicitly) so the expensive SA characterizations are
 // computed once — see the sharing contract on Config.Table.
 func DefaultConfig() Config {
-	mapOpt := mapper.DefaultOptions()
-	mapOpt.Mode = mapper.ModeDepth
 	target := arch.CycloneII()
 	return Config{
 		Arch:          target,
@@ -175,19 +162,25 @@ func DefaultConfig() Config {
 		BaselineTable: satable.New(8, satable.EstimatorZeroDelay),
 		BetaAdd:       300,
 		BetaMult:      10000,
-		MapOpt:        mapOpt,
+		MapOpt:        mapOptFor(target),
 		Delay:         sim.DelayHeterogeneous,
 		DelaySeed:     7,
 		Power:         power.FromArch(target),
 	}
 }
 
+// mapOptFor returns the implementation mapping's options on target t:
+// its K in depth mode, the paper's Quartus setting ("optimization
+// technique = speed").
+func mapOptFor(t arch.Target) mapper.Options {
+	return mapper.Options{K: t.K, Mode: mapper.ModeDepth}
+}
+
 // Normalize returns the config with its architecture and SA-table
-// invariants restored: a zero Arch becomes the default CycloneII, the
-// mapper's LUT input count and the Power model follow the arch (the
-// arch is the single source of both), and a nil, width-mismatched, or
-// arch-mismatched Table/BaselineTable is replaced with a correctly
-// characterized one. This is the safety net for callers that adjust
+// invariants restored: a zero Arch becomes the default CycloneII, MapOpt
+// and the Power model follow the arch (the arch is the single source of
+// both), and a nil, width-mismatched, or arch-mismatched
+// Table/BaselineTable is replaced with a correctly characterized one. This is the safety net for callers that adjust
 // Width or Arch after DefaultConfig (or build a Config by hand) and
 // would otherwise silently bind against tables characterized for the
 // wrong fabric. NewSession and Derive normalize automatically; direct
@@ -196,7 +189,7 @@ func (c Config) Normalize() Config {
 	if c.Arch.K == 0 {
 		c.Arch = arch.CycloneII()
 	}
-	c.MapOpt.K = c.Arch.K
+	c.MapOpt = mapOptFor(c.Arch)
 	c.Power = power.FromArch(c.Arch)
 	if c.Table == nil || c.Table.Width != c.Width || c.Table.CheckArch(c.Arch) != nil {
 		c.Table = satable.NewForArch(c.Width, satable.EstimatorGlitch, c.Arch)

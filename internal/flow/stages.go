@@ -8,11 +8,11 @@ package flow
 // sharing one pipeline.Cache across its sweep recomputes only what a
 // configuration point actually changes — every binder shares one
 // schedule/regbind computation per benchmark, an alpha/beta ablation
-// shares everything up to binding, and a delay-model or PreOptimize
-// variant shares everything up to mapping. The bind stage's output
-// fingerprint is content-addressed (a hash of the binding itself, not
-// of the binder parameters), so sweep points whose bindings coincide
-// share the whole back end too.
+// shares everything up to binding, and a delay-model variant shares
+// everything through mapping. The bind stage's output fingerprint is
+// content-addressed (a hash of the binding itself, not of the binder
+// parameters), so sweep points whose bindings coincide share the whole
+// back end too.
 //
 // Cached artifacts are shared across runs and must never be mutated
 // downstream; passes that rewrite a binding (ports.OptimizePorts) run
@@ -29,7 +29,6 @@ import (
 	"repro/internal/cdfg"
 	"repro/internal/core"
 	"repro/internal/datapath"
-	"repro/internal/logic"
 	"repro/internal/lopass"
 	"repro/internal/mapper"
 	"repro/internal/modsel"
@@ -100,11 +99,20 @@ func tableFP(t *satable.Table) string {
 	return t.Fingerprint()
 }
 
-func mapOptFPInto(h *pipeline.Hasher, o mapper.Options) *pipeline.Hasher {
-	return h.Int(o.K).Int(o.Keep).Int(int(o.Mode)).
-		F64(o.Sources.InputP).F64(o.Sources.InputS).
-		F64(o.Sources.LatchP).F64(o.Sources.LatchS).
-		Int(int(o.MacroReuse)).Int(o.MacroMinGates)
+// Retired settings. The flow no longer has a pre-mapping cleanup pass,
+// a mapper macro policy or mainline module selection, but the keys
+// they fed still hash the one value each had left, in its old
+// position, so stores written before their removal stay warm:
+// preOptimizeOff in the map key and the config fingerprint, the macro
+// policy and threshold (0, 0) after every mapper-option hash
+// (mapOptKey), and "none" for mainline module selection (modselFP(nil))
+// in the config fingerprint.
+const preOptimizeOff = false
+
+// mapOptKey hashes the mapper options an artifact depends on, followed
+// by the retired macro policy and threshold.
+func mapOptKey(h *pipeline.Hasher, o mapper.Options) *pipeline.Hasher {
+	return o.HashInto(h).Int(0).Int(0)
 }
 
 // modselFP fingerprints a resolved module-selection request (nil =
@@ -114,7 +122,7 @@ func modselFP(o *modsel.Options) string {
 		return "none"
 	}
 	h := pipeline.NewHasher().Int(o.Width).Int(o.MaxDepth).F64(o.Margin)
-	return mapOptFPInto(h, o.MapOpt).Sum()
+	return mapOptKey(h, o.MapOpt).Sum()
 }
 
 // resFP fingerprints a binding result by content. Combined with the
@@ -265,19 +273,6 @@ func (sp bindSpec) label() string {
 	return sp.algo
 }
 
-// resolveModSel returns the fully resolved module-selection options the
-// mainline datapath stage elaborates with (nil = baseline library).
-func resolveModSel(cfg Config) *modsel.Options {
-	if cfg.ModSel == nil {
-		return nil
-	}
-	opt := *cfg.ModSel
-	if opt.Width == 0 {
-		opt.Width = cfg.Width
-	}
-	return &opt
-}
-
 // ---------------------------------------------------------------------
 // Stage inputs.
 
@@ -314,7 +309,6 @@ type mapIn struct {
 	name   string
 	binder string
 	dp     *dpArtifact
-	preOpt bool
 	mapOpt mapper.Options
 	// archFP is the target architecture's fingerprint. The mapper
 	// itself reads only mapOpt (whose K the arch already owns), but the
@@ -535,26 +529,22 @@ var stageDatapath = pipeline.Stage[datapathIn, *dpArtifact]{
 	Size: func(a *dpArtifact) int { return len(a.d.Net.Nodes) },
 }
 
-// stageMap optionally pre-optimizes the netlist and runs the
-// glitch-aware K-LUT technology mapper for the configured architecture.
+// stageMap runs the glitch-aware K-LUT technology mapper for the
+// configured architecture on the elaborated netlist.
 var stageMap = pipeline.Stage[mapIn, *mapArtifact]{
 	Name: StageMap,
 	Key: func(in mapIn) string {
-		h := pipeline.NewHasher().Str(in.dp.fp).Bool(in.preOpt).Str(in.archFP)
-		return mapOptFPInto(h, in.mapOpt).Sum()
+		h := pipeline.NewHasher().Str(in.dp.fp).Bool(preOptimizeOff).Str(in.archFP)
+		return mapOptKey(h, in.mapOpt).Sum()
 	},
 	Scope: func(in mapIn) pipeline.Scope { return pipeline.Scope{Bench: in.name, Binder: in.binder} },
 	Run: func(_ context.Context, in mapIn) (*mapArtifact, error) {
-		toMap := in.dp.d.Net
-		if in.preOpt {
-			toMap, _ = logic.Optimize(toMap)
-		}
-		m, err := mapper.Map(toMap, in.mapOpt)
+		m, err := mapper.Map(in.dp.d.Net, in.mapOpt)
 		if err != nil {
 			return nil, fmt.Errorf("flow: %s/%s: %w", in.name, in.binder, err)
 		}
-		h := pipeline.NewHasher().Str(in.dp.fp).Bool(in.preOpt).Str(in.archFP).Str("map")
-		fp := mapOptFPInto(h, in.mapOpt).Sum()
+		h := pipeline.NewHasher().Str(in.dp.fp).Bool(preOptimizeOff).Str(in.archFP).Str("map")
+		fp := mapOptKey(h, in.mapOpt).Sum()
 		return &mapArtifact{m: m, fp: fp}, nil
 	},
 	Size: func(a *mapArtifact) int { return a.m.LUTs },
@@ -620,7 +610,7 @@ func runBackEnd(ctx context.Context, cache *pipeline.Cache, cfg Config, fe *sche
 		return nil, nil, sim.Counts{}, power.Report{}, err
 	}
 	// The mapper's worker count and the macro-cover memo ride along in
-	// the options but are excluded from mapOptFPInto, so they never split
+	// the options but are excluded from mapOptKey, so they never split
 	// the stage cache. The memo is backed by the session's stage cache
 	// under a per-arch class ("macro@<archFP>"): covers persist across
 	// runs and, with an attached store, across processes.
@@ -628,8 +618,7 @@ func runBackEnd(ctx context.Context, cache *pipeline.Cache, cfg Config, fe *sche
 	mopt.Jobs = jobs
 	mopt.Macros = mapper.NewMacroCache(cache, "macro@"+cfg.Arch.Fingerprint())
 	ma, err := stageMap.Exec(ctx, cache, mapIn{
-		name: name, binder: binderName, dp: dp,
-		preOpt: cfg.PreOptimize, mapOpt: mopt,
+		name: name, binder: binderName, dp: dp, mapOpt: mopt,
 		archFP: cfg.Arch.Fingerprint(),
 	})
 	if err != nil {
@@ -669,7 +658,7 @@ func runPipeline(ctx context.Context, cache *pipeline.Cache, cfg Config, fe *sch
 	if err != nil {
 		return nil, err
 	}
-	dp, ma, counts, rep, err := runBackEnd(ctx, cache, cfg, fe, rba, ba, name, b.Name, resolveModSel(cfg))
+	dp, ma, counts, rep, err := runBackEnd(ctx, cache, cfg, fe, rba, ba, name, b.Name, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -11,10 +11,8 @@ import (
 	"repro/internal/cdfg"
 	"repro/internal/core"
 	"repro/internal/datapath"
-	"repro/internal/logic"
 	"repro/internal/lopass"
 	"repro/internal/mapper"
-	"repro/internal/modsel"
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/regbind"
@@ -69,28 +67,11 @@ func runScheduledMonolithic(g *cdfg.Graph, name string, s *cdfg.Schedule, rc cdf
 		res, bindTime = r, rep.Runtime
 	}
 
-	var arch *datapath.Arch
-	if cfg.ModSel != nil {
-		opt := *cfg.ModSel
-		if opt.Width == 0 {
-			opt.Width = cfg.Width
-		}
-		sel, err := modsel.NewSelector(opt).Select(g, rb, res)
-		if err != nil {
-			return nil, fmt.Errorf("flow: %s/%s: %w", name, b.Name, err)
-		}
-		adder, mult := sel.Arch()
-		arch = &datapath.Arch{Adder: adder, Mult: mult}
-	}
-	d, err := datapath.ElaborateArch(g, s, rb, res, cfg.Width, arch)
+	d, err := datapath.ElaborateArch(g, s, rb, res, cfg.Width, nil)
 	if err != nil {
 		return nil, fmt.Errorf("flow: %s/%s: %w", name, b.Name, err)
 	}
-	toMap := d.Net
-	if cfg.PreOptimize {
-		toMap, _ = logic.Optimize(d.Net)
-	}
-	mapped, err := mapper.Map(toMap, cfg.MapOpt)
+	mapped, err := mapper.Map(d.Net, cfg.MapOpt)
 	if err != nil {
 		return nil, fmt.Errorf("flow: %s/%s: %w", name, b.Name, err)
 	}
@@ -375,24 +356,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 			hit:    []string{StageSchedule, StageRegbind, StageDatapath},
 		},
 		{
-			name:   "MapOpt",
-			mutate: func(c *Config) { c.MapOpt.Mode = mapper.ModePower },
-			miss:   []string{StageMap, StageSim, StagePower},
-			hit:    rest(StageMap, StageSim, StagePower),
-		},
-		{
-			name:   "PreOptimize",
-			mutate: func(c *Config) { c.PreOptimize = true },
-			miss:   []string{StageMap, StageSim, StagePower},
-			hit:    rest(StageMap, StageSim, StagePower),
-		},
-		{
-			name:   "ModSel",
-			mutate: func(c *Config) { o := modsel.DefaultOptions(); c.ModSel = &o },
-			miss:   []string{StageDatapath, StageMap, StageSim, StagePower},
-			hit:    rest(StageDatapath, StageMap, StageSim, StagePower),
-		},
-		{
 			// PortSeed feeds regbind, whose fingerprint every later key
 			// chains on structurally: the entire pipeline below schedule
 			// recomputes.
@@ -542,6 +505,9 @@ func TestNormalizeDerivesFromArch(t *testing.T) {
 	cfg := DefaultConfig()
 	if want := power.FromArch(cfg.Arch); cfg.Power != want {
 		t.Errorf("DefaultConfig Power %+v, want %+v (derived from Arch)", cfg.Power, want)
+	}
+	if want := (mapper.Options{K: 4, Mode: mapper.ModeDepth}); cfg.MapOpt != want {
+		t.Errorf("DefaultConfig MapOpt %+v, want %+v (depth mode at the arch's K)", cfg.MapOpt, want)
 	}
 	cfg.Power.Vdd = 5
 	cfg.MapOpt.K = 6

@@ -38,8 +38,8 @@ import (
 // configuration: every field that influences any stage's output (the
 // worker-count and lane-width knobs, which are bit-identical at every
 // setting, are excluded, exactly as they are from stage cache keys).
-// Power and MapOpt.K are derived from Arch, so the arch fingerprint
-// covers them. Equal fingerprints mean a run result computed under one Config is
+// Power and MapOpt are derived from Arch, so the arch fingerprint covers
+// them. Equal fingerprints mean a run result computed under one Config is
 // valid under the other — the contract the durable store's
 // run@<fingerprint> class namespace enforces.
 func (c Config) Fingerprint() string {
@@ -50,9 +50,9 @@ func (c Config) Fingerprint() string {
 		Str(tableFP(c.Table)).Str(tableFP(c.BaselineTable)).
 		F64(c.BetaAdd).F64(c.BetaMult).
 		Int(c.BindK).Bool(c.BindExact).
-		Str(modselFP(resolveModSel(c))).Bool(c.PreOptimize).
+		Str(modselFP(nil)).Bool(preOptimizeOff).
 		Int(int(c.Delay)).Int64(c.DelaySeed)
-	return mapOptFPInto(h, c.MapOpt).Sum()
+	return mapOptKey(h, c.MapOpt).Sum()
 }
 
 // AttachStore backs the session's caches with a durable store: stage

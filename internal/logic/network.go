@@ -74,8 +74,8 @@ type Network struct {
 	// Latches lists latch-output node IDs in declaration order.
 	Latches []int
 	// Macros lists builder-generated sub-netlist ranges (see Macro).
-	// Advisory: transforms that renumber nodes (SweepDangling, Optimize)
-	// drop them rather than remapping.
+	// Advisory: transforms that renumber nodes (SweepDangling) drop them
+	// rather than remapping.
 	Macros []Macro
 
 	byName map[string]int

@@ -62,19 +62,5 @@ func TestMapRandomNetworksFormallyEquivalent(t *testing.T) {
 				}
 			}
 		}
-
-		// Optimize-then-map composes safely too.
-		opt2, _ := logic.Optimize(net)
-		res, err := Map(opt2, DefaultOptions())
-		if err != nil {
-			t.Fatalf("seed %d optimize+map: %v", seed, err)
-		}
-		eq, err := verify.Equivalent(net, res.Mapped, verify.Options{})
-		if err != nil {
-			t.Fatalf("seed %d optimize+map: %v", seed, err)
-		}
-		if !eq.Equivalent {
-			t.Fatalf("seed %d: optimize+map differs at %s", seed, eq.FailedOutput)
-		}
 	}
 }

@@ -24,41 +24,17 @@ import (
 	"repro/internal/glitch"
 	"repro/internal/logic"
 	"repro/internal/pipeline"
+	"repro/internal/prob"
 )
 
-// MacroPolicy selects whether tagged macros are covered by memoized
-// canonical covers (see Options.MacroReuse).
-type MacroPolicy int
-
-const (
-	// MacroAuto engages macro reuse only on large netlists (at least
-	// MacroMinGates gates): below the threshold the flat mapper is fast
-	// and its cut selection — which sees real arrival times and
-	// waveforms at macro boundaries instead of canonical source
-	// assumptions — is slightly better informed.
-	MacroAuto MacroPolicy = iota
-	// MacroOff always maps flat.
-	MacroOff
-	// MacroOn always uses tagged macros, regardless of size.
-	MacroOn
-)
-
-func (p MacroPolicy) String() string {
-	switch p {
-	case MacroAuto:
-		return "auto"
-	case MacroOff:
-		return "off"
-	case MacroOn:
-		return "on"
-	}
-	return fmt.Sprintf("policy(%d)", int(p))
-}
-
-// DefaultMacroMinGates is the MacroAuto engagement threshold. Paper
-// benchmarks elaborate to a few thousand gates and stay on the flat
-// path (bit-identical goldens); the scale workloads (ctrl-2k ≈ 37k
-// gates, ctrl-10k ≈ 145k) cross it and get memoized covering.
+// DefaultMacroMinGates is the gate count at which Map engages macro
+// covering. Below it the flat mapper is fast, and its cut selection —
+// which sees real arrival times and waveforms at macro boundaries
+// instead of canonical source assumptions — is slightly better
+// informed. Paper benchmarks elaborate to a few thousand gates and stay
+// on the flat path (bit-identical goldens); the scale workloads
+// (ctrl-2k ≈ 37k gates, ctrl-10k ≈ 145k) cross it and get memoized
+// covering. A copy of a net with its Macros cleared always maps flat.
 const DefaultMacroMinGates = 20000
 
 // MacroCover is the canonical cover of one distinct macro content: for
@@ -276,23 +252,11 @@ func analyzeMacro(net *logic.Network, m logic.Macro, optFP string) macroInstance
 }
 
 // activeMacros validates the network's macro tags against the Macro
-// invariants and the engagement policy, returning the instances to
-// cover canonically. Tags that violate an invariant are silently
-// demoted to glue (skipped) — tags are advisory.
-func activeMacros(net *logic.Network, opt Options) []logic.Macro {
-	switch opt.MacroReuse {
-	case MacroOff:
-		return nil
-	case MacroAuto:
-		min := opt.MacroMinGates
-		if min <= 0 {
-			min = DefaultMacroMinGates
-		}
-		if net.NumGates() < min {
-			return nil
-		}
-	}
-	if len(net.Macros) == 0 {
+// invariants, returning the instances to cover canonically; a net of
+// fewer than minGates gates covers none. Tags that violate an invariant
+// are silently demoted to glue (skipped) — tags are advisory.
+func activeMacros(net *logic.Network, minGates int) []logic.Macro {
+	if len(net.Macros) == 0 || net.NumGates() < minGates {
 		return nil
 	}
 	var out []logic.Macro
@@ -350,8 +314,9 @@ func computeMacroCover(net *logic.Network, inst macroInstance, opt Options) (*Ma
 	states := make([]nodeState, cn.NumNodes())
 	sets := make([][]cuts.Cut, cn.NumNodes())
 	w := newMapWorker()
+	src := prob.DefaultSources()
 	for e := 0; e < numExt; e++ {
-		states[e].wave = glitch.SourceWaveform(opt.Sources.InputP, opt.Sources.InputS)
+		states[e].wave = glitch.SourceWaveform(src.InputP, src.InputS)
 		sets[e] = []cuts.Cut{cuts.Trivial(e)}
 	}
 	for id := numExt; id < cn.NumNodes(); id++ {

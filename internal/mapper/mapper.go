@@ -78,27 +78,14 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
-// Options configures the mapper. K, Keep, Mode, Sources, MacroReuse and
-// MacroMinGates are semantic (they select the Result); Jobs and Macros
-// are execution detail (any value yields a bit-identical Result) and
-// are excluded from cache fingerprints.
+// Options configures the mapper. K and Mode select the Result (see
+// HashInto); Jobs and Macros are execution detail (any value yields a
+// bit-identical Result) and are excluded from cache fingerprints.
 type Options struct {
 	// K is the LUT input count (Cyclone II: 4).
 	K int
-	// Keep bounds the number of cuts retained per node during pruning.
-	Keep int
 	// Mode is the mapping objective.
 	Mode Mode
-	// Sources sets the probability/activity of combinational sources.
-	Sources prob.SourceValues
-
-	// MacroReuse selects whether elaboration-tagged macros (the input
-	// network's Macros) are covered once per distinct content and
-	// stitched per instance. The zero value is MacroAuto.
-	MacroReuse MacroPolicy
-	// MacroMinGates is the MacroAuto engagement threshold; <= 0 means
-	// DefaultMacroMinGates.
-	MacroMinGates int
 
 	// Jobs caps the worker goroutines of the level-parallel forward
 	// pass; <= 1 maps serially. Results are bit-identical at any value.
@@ -109,11 +96,15 @@ type Options struct {
 	Macros *MacroCache
 }
 
+// keep bounds the number of cuts retained per node during pruning.
+const keep = 8
+
 // DefaultOptions returns the configuration used throughout the
-// reproduction: 4-LUTs, 8 cuts per node, power-driven mapping with the
-// paper's source assumptions, macro reuse auto-engaged on large nets.
+// reproduction: 4-LUTs and power-driven mapping. Cuts are pruned to
+// keep per node and sources follow the paper's assumptions
+// (prob.DefaultSources) in every mode.
 func DefaultOptions() Options {
-	return Options{K: 4, Keep: 8, Mode: ModePower, Sources: prob.DefaultSources()}
+	return Options{K: 4, Mode: ModePower}
 }
 
 // OptionsForArch returns DefaultOptions retargeted to the descriptor's
@@ -124,16 +115,23 @@ func OptionsForArch(t arch.Target) Options {
 	return o
 }
 
+// HashInto writes everything that selects a mapping Result into h: K,
+// the cuts kept per node, Mode and the four source values, in that
+// order. It is the one place these are hashed: the flow's map key,
+// config fingerprint and module-selection key, the SA table fingerprint
+// and the macro-cover key all call it, so an option that changes
+// results cannot be left out of one of them.
+func (o Options) HashInto(h *pipeline.Hasher) *pipeline.Hasher {
+	src := prob.DefaultSources()
+	return h.Int(o.K).Int(keep).Int(int(o.Mode)).
+		F64(src.InputP).F64(src.InputS).
+		F64(src.LatchP).F64(src.LatchS)
+}
+
 // coverFP fingerprints the options that determine a canonical macro
-// cover's content. MacroReuse/MacroMinGates are deliberately excluded:
-// they decide whether covers are used, never what a cover contains, so
-// MacroOn and MacroAuto share cache entries.
+// cover's content.
 func (o Options) coverFP() string {
-	h := pipeline.NewHasher()
-	h.Int(o.K).Int(o.Keep).Int(int(o.Mode))
-	h.F64(o.Sources.InputP).F64(o.Sources.InputS)
-	h.F64(o.Sources.LatchP).F64(o.Sources.LatchS)
-	return h.Sum()
+	return o.HashInto(pipeline.NewHasher()).Sum()
 }
 
 // Result is a completed mapping.
@@ -196,13 +194,19 @@ type mapTask struct {
 	gate  int
 }
 
-// Map covers the combinational logic of net with K-input LUTs.
+// Map covers the combinational logic of net with K-input LUTs. Tagged
+// macros are covered once per distinct content and stitched per
+// instance on nets of at least DefaultMacroMinGates gates; smaller nets
+// map flat.
 func Map(net *logic.Network, opt Options) (*Result, error) {
+	return mapNet(net, opt, DefaultMacroMinGates)
+}
+
+// mapNet is Map with the macro-covering threshold as a parameter, the
+// seam tests use to force covers on small nets.
+func mapNet(net *logic.Network, opt Options, macroMinGates int) (*Result, error) {
 	if opt.K < MinK || opt.K > MaxK {
 		return nil, &KRangeError{K: opt.K}
-	}
-	if opt.Keep < 1 {
-		return nil, fmt.Errorf("mapper: Keep must be >= 1, got %d", opt.Keep)
 	}
 	if err := net.Check(); err != nil {
 		return nil, fmt.Errorf("mapper: invalid input network: %w", err)
@@ -217,14 +221,15 @@ func Map(net *logic.Network, opt Options) (*Result, error) {
 	sets := make([][]cuts.Cut, n)
 
 	// Sources: fixed waveforms, trivial cut sets.
+	src := prob.DefaultSources()
 	for id := 0; id < n; id++ {
 		nd := net.Node(id)
 		switch nd.Kind {
 		case logic.KindInput:
-			states[id].wave = glitch.SourceWaveform(opt.Sources.InputP, opt.Sources.InputS)
+			states[id].wave = glitch.SourceWaveform(src.InputP, src.InputS)
 			sets[id] = []cuts.Cut{cuts.Trivial(id)}
 		case logic.KindLatchOut:
-			states[id].wave = glitch.SourceWaveform(opt.Sources.LatchP, opt.Sources.LatchS)
+			states[id].wave = glitch.SourceWaveform(src.LatchP, src.LatchS)
 			sets[id] = []cuts.Cut{cuts.Trivial(id)}
 		case logic.KindConst:
 			states[id].wave = glitch.ConstWaveform(nd.ConstVal)
@@ -232,7 +237,7 @@ func Map(net *logic.Network, opt Options) (*Result, error) {
 		}
 	}
 
-	macros := activeMacros(net, opt)
+	macros := activeMacros(net, macroMinGates)
 	var instances []macroInstance
 	if len(macros) > 0 {
 		fp := opt.coverFP()
@@ -409,7 +414,7 @@ func mapGate(net *logic.Network, id int, states []nodeState, sets [][]cuts.Cut, 
 	st := nodeState{best: candidates[bestIdx], wave: bestWave, arrival: bestArr, flow: bestFlow}
 	// Prune the candidate set for consumers upstream, then detach it
 	// from the scratch's reused backing array.
-	kept := cuts.Prune(id, candidates, opt.Keep, func(_ int, a, b cuts.Cut) bool {
+	kept := cuts.Prune(id, candidates, keep, func(_ int, a, b cuts.Cut) bool {
 		return len(a.Leaves) < len(b.Leaves)
 	})
 	cp := make([]cuts.Cut, len(kept))
@@ -632,7 +637,7 @@ func extractCover(net *logic.Network, states []nodeState, opt Options) (*Result,
 		return nil, fmt.Errorf("mapper: produced invalid network: %w", err)
 	}
 
-	est := glitch.EstimateNetworkJobs(mapped, opt.Sources, opt.Jobs)
+	est := glitch.EstimateNetworkJobs(mapped, prob.DefaultSources(), opt.Jobs)
 	return &Result{
 		Mapped:    mapped,
 		NodeMap:   nodeMap,

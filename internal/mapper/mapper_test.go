@@ -229,11 +229,6 @@ func TestMapRejectsBadOptions(t *testing.T) {
 			t.Fatalf("K=%d: want *KRangeError carrying K, got %v", k, err)
 		}
 	}
-	opt := DefaultOptions()
-	opt.Keep = 0
-	if _, err := Map(net, opt); err == nil {
-		t.Fatal("Keep=0 should be rejected")
-	}
 }
 
 func TestMapEstimatesDecompose(t *testing.T) {

@@ -70,7 +70,8 @@ func randomNet(seed int64) *logic.Network {
 // level-parallel mapper: at worker counts 1 through 8 the full Result —
 // mapped netlist, node map, LUT/depth counts, and the float SA
 // estimates to the bit — is identical, on random nets, on macro-tagged
-// generator nets with macro reuse forced on, and in every mapping mode.
+// generator nets both flat and with macro covering forced on, and in
+// every mapping mode.
 func TestMapWorkerInvariance(t *testing.T) {
 	nets := []*logic.Network{
 		netgen.MuxNetwork(6, 8),
@@ -81,26 +82,26 @@ func TestMapWorkerInvariance(t *testing.T) {
 		nets = append(nets, randomNet(seed))
 	}
 	for _, mode := range []Mode{ModePower, ModeDepth, ModeArea} {
-		for _, macro := range []MacroPolicy{MacroOff, MacroOn} {
+		// These nets are below DefaultMacroMinGates, so the default
+		// threshold maps them flat and 0 forces every macro covered.
+		for _, minGates := range []int{DefaultMacroMinGates, 0} {
 			for ni, net := range nets {
 				opt := DefaultOptions()
 				opt.Mode = mode
-				opt.MacroReuse = macro
-				opt.MacroMinGates = 1
-				ref, err := Map(net, opt)
+				ref, err := mapNet(net, opt, minGates)
 				if err != nil {
-					t.Fatalf("net %d mode %v macro %v: %v", ni, mode, macro, err)
+					t.Fatalf("net %d mode %v macro threshold %d: %v", ni, mode, minGates, err)
 				}
 				refFP := resultFingerprint(ref)
 				for jobs := 2; jobs <= 8; jobs++ {
 					o := opt
 					o.Jobs = jobs
-					got, err := Map(net, o)
+					got, err := mapNet(net, o, minGates)
 					if err != nil {
-						t.Fatalf("net %d mode %v macro %v jobs %d: %v", ni, mode, macro, jobs, err)
+						t.Fatalf("net %d mode %v macro threshold %d jobs %d: %v", ni, mode, minGates, jobs, err)
 					}
 					if fp := resultFingerprint(got); fp != refFP {
-						t.Fatalf("net %d mode %v macro %v: jobs=%d result differs from serial", ni, mode, macro, jobs)
+						t.Fatalf("net %d mode %v macro threshold %d: jobs=%d result differs from serial", ni, mode, minGates, jobs)
 					}
 				}
 			}
@@ -123,11 +124,9 @@ func TestMacroReuseSharesCovers(t *testing.T) {
 		{"private", nil},
 	} {
 		opt := DefaultOptions()
-		opt.MacroReuse = MacroOn
-		opt.MacroMinGates = 1
 		opt.Macros = NewMacroCache(tc.stages, "macro-test")
 
-		first, err := Map(net, opt)
+		first, err := mapNet(net, opt, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +137,7 @@ func TestMacroReuseSharesCovers(t *testing.T) {
 		if m0 != int64(first.MacroDistinct) {
 			t.Fatalf("%s: first run misses = %d, want %d (one per distinct macro)", tc.name, m0, first.MacroDistinct)
 		}
-		second, err := Map(net, opt)
+		second, err := mapNet(net, opt, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,16 +163,14 @@ func TestMacroModeQualityAndCorrectness(t *testing.T) {
 		netgen.MuxNetwork(6, 8),
 		netgen.AdderNetwork(8),
 	} {
-		flatOpt := DefaultOptions()
-		flatOpt.MacroReuse = MacroOff
-		flat, err := Map(net, flatOpt)
+		// A copy with the macro tags cleared maps flat at any size.
+		flatNet := *net
+		flatNet.Macros = nil
+		flat, err := Map(&flatNet, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		macroOpt := DefaultOptions()
-		macroOpt.MacroReuse = MacroOn
-		macroOpt.MacroMinGates = 1
-		covered, err := Map(net, macroOpt)
+		covered, err := mapNet(net, DefaultOptions(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -133,13 +133,8 @@ func NewForArch(width int, est Estimator, t arch.Target) *Table {
 // durable store's sa@<fingerprint> class namespace is built on: a table
 // characterized for one fabric can never warm-start another.
 func (t *Table) Fingerprint() string {
-	o := t.MapOpt
-	return pipeline.NewHasher().
-		Int(t.Width).Int(int(t.Est)).Str(t.Arch.Fingerprint()).
-		Int(o.K).Int(o.Keep).Int(int(o.Mode)).
-		F64(o.Sources.InputP).F64(o.Sources.InputS).
-		F64(o.Sources.LatchP).F64(o.Sources.LatchS).
-		Sum()
+	h := pipeline.NewHasher().Int(t.Width).Int(int(t.Est)).Str(t.Arch.Fingerprint())
+	return t.MapOpt.HashInto(h).Sum()
 }
 
 // AttachStore backs the table's entry cache with a durable store:
@@ -250,10 +245,10 @@ func (t *Table) compute(kind netgen.FUKind, kl, kr int) (sa float64, err error) 
 	}
 	switch t.Est {
 	case EstimatorNajm:
-		e := prob.EstimateNetwork(res.Mapped, prob.MethodNajm, t.MapOpt.Sources)
+		e := prob.EstimateNetwork(res.Mapped, prob.MethodNajm, prob.DefaultSources())
 		return e.TotalActivity(res.Mapped), nil
 	case EstimatorZeroDelay:
-		e := prob.EstimateNetwork(res.Mapped, prob.MethodChouRoy, t.MapOpt.Sources)
+		e := prob.EstimateNetwork(res.Mapped, prob.MethodChouRoy, prob.DefaultSources())
 		return e.TotalActivity(res.Mapped), nil
 	default:
 		return res.EstSA, nil

@@ -63,18 +63,6 @@ func TestEquivalentMapping(t *testing.T) {
 	}
 }
 
-func TestEquivalentOptimization(t *testing.T) {
-	net := netgen.PartialDatapathNetwork(netgen.FUAdd, 3, 2, 5)
-	opt, _ := logic.Optimize(net)
-	res, err := Equivalent(net, opt, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Equivalent {
-		t.Fatalf("Optimize changed the function at %s", res.FailedOutput)
-	}
-}
-
 func TestInequivalenceDetectedWithCounterexample(t *testing.T) {
 	a := logic.NewNetwork("a")
 	x := a.AddInput("x")
