@@ -489,7 +489,10 @@ func BenchmarkSATableVsDynamic(b *testing.B) {
 	p, _ := workload.ByName("pr")
 	b.Run("precalculated", func(b *testing.B) {
 		table := satable.New(8, satable.EstimatorGlitch)
-		table.Precompute(10) // warm: every lookup is a hash hit
+		// Warm: every lookup is a hash hit.
+		if err := table.PrecomputeCtx(bgCtx, 10, 0); err != nil {
+			b.Fatal(err)
+		}
 		opt := core.DefaultOptions(table)
 		opt.Swap = swap
 		b.ResetTimer()

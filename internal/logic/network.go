@@ -11,7 +11,6 @@ package logic
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bitvec"
 )
@@ -403,14 +402,4 @@ func (n *Network) SweepDangling() (*Network, []int) {
 		out.MarkOutput(o.Name, remap[o.Node])
 	}
 	return out, remap
-}
-
-// SortedNames returns all node names in lexicographic order (testing aid).
-func (n *Network) SortedNames() []string {
-	names := make([]string, 0, len(n.byName))
-	for name := range n.byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -13,7 +13,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -303,17 +302,5 @@ func (c *Cache) Snapshot(class string) map[string]any {
 		default:
 		}
 	}
-	return out
-}
-
-// Classes returns the class names with any traffic or entries, sorted.
-func (c *Cache) Classes() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.classes))
-	for k := range c.classes {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -139,9 +139,6 @@ func (c *Char) NumVars() int { return c.n }
 // keys embed it: equal IDs imply the same function.
 func (c *Char) ID() uint64 { return c.id }
 
-// OnSetSize returns the number of on-set minterms.
-func (c *Char) OnSetSize() int { return len(c.onset) }
-
 // pairTable returns the packed joint-index table for the on-set pair
 // sum, building it on first use. Returns nil when the function is too
 // wide to cache (n > pairCodeMaxVars).

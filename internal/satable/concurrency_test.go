@@ -1,6 +1,7 @@
 package satable
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -83,9 +84,13 @@ func TestSingleflightSameKey(t *testing.T) {
 // exactly one computation per key.
 func TestPrecomputeParallelMatchesSerial(t *testing.T) {
 	serial := New(4, EstimatorGlitch)
-	serial.PrecomputeParallel(3, 1)
+	if err := serial.PrecomputeCtx(context.Background(), 3, 1); err != nil {
+		t.Fatal(err)
+	}
 	par := New(4, EstimatorGlitch)
-	par.PrecomputeParallel(3, 8)
+	if err := par.PrecomputeCtx(context.Background(), 3, 8); err != nil {
+		t.Fatal(err)
+	}
 
 	if serial.Len() != par.Len() {
 		t.Fatalf("len: serial %d, parallel %d", serial.Len(), par.Len())

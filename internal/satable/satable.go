@@ -267,27 +267,15 @@ func (t *Table) Len() int {
 	return t.cache.Len(saClass)
 }
 
-// Precompute fills the table for every FU kind and all mux-size
+// PrecomputeCtx fills the table for every FU kind and all mux-size
 // combinations up to maxMux inputs per port, computing missing entries
-// on GOMAXPROCS workers. Entries are independent, so the filled table is
-// identical to a serial fill.
-func (t *Table) Precompute(maxMux int) {
-	t.PrecomputeParallel(maxMux, 0)
-}
-
-// PrecomputeParallel is Precompute with an explicit worker count
-// (jobs <= 0 selects GOMAXPROCS).
-func (t *Table) PrecomputeParallel(maxMux, jobs int) {
-	// The background context never cancels and the builtin FU kinds
-	// always compute, so the error is unreachable here.
-	_ = t.PrecomputeCtx(context.Background(), maxMux, jobs)
-}
-
-// PrecomputeCtx is the cancellable precompute: workers stop picking up
-// new entries once ctx is done and the call returns ctx's error. A
-// partially filled table stays valid — completed entries are kept and
-// the next Precompute resumes from them. The first computation error
-// (in key order, deterministic for any worker count) is returned.
+// on up to jobs workers (jobs <= 0 selects GOMAXPROCS). Entries are
+// independent, so the filled table is identical to a serial fill.
+// Workers stop picking up new entries once ctx is done and the call
+// returns ctx's error. A partially filled table stays valid — completed
+// entries are kept and the next call resumes from them. The first
+// computation error (in key order, deterministic for any worker count)
+// is returned.
 func (t *Table) PrecomputeCtx(ctx context.Context, maxMux, jobs int) error {
 	var keys []Key
 	for _, kind := range []netgen.FUKind{netgen.FUAdd, netgen.FUMult} {

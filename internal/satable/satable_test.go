@@ -161,7 +161,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestPrecompute(t *testing.T) {
 	tb := New(4, EstimatorGlitch)
-	tb.Precompute(2)
+	if err := tb.PrecomputeCtx(context.Background(), 2, 0); err != nil {
+		t.Fatal(err)
+	}
 	// 2 kinds x 2 x 2 entries.
 	if tb.Len() != 8 {
 		t.Fatalf("precompute filled %d entries, want 8", tb.Len())

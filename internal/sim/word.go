@@ -221,11 +221,6 @@ func muxTree(buf, x []uint64) uint64 {
 	return buf[0]
 }
 
-// NewWord creates a unit-delay word-parallel simulator.
-func NewWord(net *logic.Network) (*WordSimulator, error) {
-	return NewWordWithDelays(net, DelayUnit, 0)
-}
-
 // NewWordWithDelays creates a word-parallel simulator under the given
 // delay model; (model, seed) select the same deterministic delay
 // assignment as the scalar NewWithDelays.

@@ -228,7 +228,7 @@ func TestWordRunRandomSharesStimulus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWord(net)
+	w, err := NewWordWithDelays(net, DelayUnit, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestWordRerunResets(t *testing.T) {
 // surfaces the context error.
 func TestWordCancellation(t *testing.T) {
 	net := netgen.MultiplierNetwork(6)
-	w, err := NewWord(net)
+	w, err := NewWordWithDelays(net, DelayUnit, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
