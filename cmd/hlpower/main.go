@@ -123,11 +123,18 @@ func main() {
 		defer cancel()
 	}
 	if *inject != "" {
-		fi, err := parseInject(*inject)
+		fi, err := pipeline.ParseInjectSpec(*inject)
 		if err != nil {
 			usageErr(err)
 		}
 		ctx = pipeline.WithInjector(ctx, fi)
+	}
+	// -trace records every stage span of the invocation through the
+	// context, whichever experiment runs.
+	var trace *pipeline.Trace
+	if *traceOut != "" {
+		trace = new(pipeline.Trace)
+		ctx = pipeline.WithTraces(ctx, trace)
 	}
 
 	target, ok := arch.ByName(*archName)
@@ -288,7 +295,7 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		if err := emitTrace(se, *traceOut); err != nil {
+		if err := emitTrace(se, trace.Spans(), *traceOut); err != nil {
 			fatal(err)
 		}
 	}
@@ -314,16 +321,6 @@ func parseAlphas(s string) ([]float64, error) {
 		alphas = append(alphas, a)
 	}
 	return alphas, nil
-}
-
-// parseInject parses the -inject spec: a comma-separated key=value list
-// building one seeded FaultRule (pipeline.ParseInjectSpec, shared with
-// hlpowerd, which also accepts the durable-store disk-fault keys).
-// Example:
-//
-//	-inject 'seed=42,stage=map,bench=chem,perror=1'
-func parseInject(s string) (*pipeline.FaultInjector, error) {
-	return pipeline.ParseInjectSpec(s)
 }
 
 // writeFailures writes the sweep's failure report to dest ("" = skip,
@@ -393,10 +390,10 @@ func writeBindStats(w io.Writer, stats []flow.BindStat) error {
 	}{stats})
 }
 
-// emitTrace writes the session's stage spans as a JSON array to dest
-// ("-" = stdout) and prints a per-stage cache summary to stderr.
-func emitTrace(se *flow.Session, dest string) error {
-	spans := se.TraceSpans()
+// emitTrace writes the invocation's stage spans as a JSON array to dest
+// ("-" = stdout) and prints the session's per-stage cache summary to
+// stderr.
+func emitTrace(se *flow.Session, spans []pipeline.Span, dest string) error {
 	out := os.Stdout
 	if dest != "-" {
 		f, err := os.Create(dest)
@@ -412,16 +409,22 @@ func emitTrace(se *flow.Session, dest string) error {
 		return err
 	}
 
-	// Per-stage rollup: demands, hit rate, and cumulative wall-clock
-	// (total includes cache-hit waits; compute is the time actually
-	// burned executing the stage).
+	// Per-stage rollup from the stage cache's counters: hits include
+	// store reads, compute is the time spent running the stage on
+	// misses, wait the time hits spent on in-flight runs and store reads.
+	stats := se.StageStats()
 	tw := tabwriter.NewWriter(os.Stderr, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "stage\tdemands\thits\tmisses\twallclock\tcompute")
-	for _, w := range se.StageWallclock() {
+	fmt.Fprintln(tw, "stage\tdemands\thits\tmisses\tcompute\twait")
+	for _, name := range flow.StageNames {
+		st, ok := stats[name]
+		if !ok {
+			continue // never demanded
+		}
+		hits := st.Hits + st.BackingHits
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%v\t%v\n",
-			w.Stage, w.Count, w.CacheHits, w.Count-w.CacheHits,
-			time.Duration(w.TotalNs).Round(time.Microsecond),
-			time.Duration(w.ComputeNs).Round(time.Microsecond))
+			name, hits+st.Misses, hits, st.Misses,
+			time.Duration(st.ComputeNs).Round(time.Microsecond),
+			time.Duration(st.WaitNs).Round(time.Microsecond))
 	}
 	return tw.Flush()
 }

@@ -103,8 +103,7 @@ func DefaultOptions(table *satable.Table) Options {
 }
 
 // IterationStat records one merge round of the engine — the
-// per-iteration observability behind the flow stage's bind.iter spans
-// and cmd/hlpower's -bindstats.
+// per-iteration observability behind cmd/hlpower's -bindstats.
 type IterationStat struct {
 	// Iter is the 1-based merge-round number.
 	Iter int `json:"iter"`

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/binding"
 	"repro/internal/modsel"
-	"repro/internal/pipeline"
 	"repro/internal/satable"
 )
 
@@ -86,7 +85,6 @@ func AblationData(ctx context.Context, se *Session) ([]AblationRow, error) {
 	zeroTable := satable.NewForArch(cfg.Width, satable.EstimatorZeroDelay, cfg.Arch)
 	najmTable := satable.NewForArch(cfg.Width, satable.EstimatorNajm, cfg.Arch)
 	perBench := make([][]AblationRow, len(se.Benchmarks))
-	ctx = pipeline.WithTraces(ctx, se.trace)
 	err := firstError(runItems(ctx, len(se.Benchmarks), se.Jobs, true, func(ctx context.Context, bi int) error {
 		p := se.Benchmarks[bi]
 		fe, err := stageSchedule.Exec(ctx, se.stages, p)

@@ -58,43 +58,3 @@ func TestBackEndWorkerInvariance(t *testing.T) {
 		}
 	}
 }
-
-// TestStageWallclockAggregates checks the session's cumulative
-// per-stage timing rollup: every pipeline stage that ran appears, in
-// StageNames order, with counts and wall-clock consistent with the
-// recorded spans.
-func TestStageWallclockAggregates(t *testing.T) {
-	se := smallSession()
-	p := se.Benchmarks[0]
-	if _, err := se.Run(bgc, p, BinderLOPASS); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := se.Run(bgc, p, BinderLOPASS); err != nil { // warm: run-cache hit, no new spans needed
-		t.Fatal(err)
-	}
-	ws := se.StageWallclock()
-	if len(ws) == 0 {
-		t.Fatal("no stage wallclock rows")
-	}
-	pos := make(map[string]int, len(ws))
-	for i, w := range ws {
-		pos[w.Stage] = i
-		if w.Count < 1 {
-			t.Fatalf("%s: count %d", w.Stage, w.Count)
-		}
-		if w.TotalNs < w.ComputeNs {
-			t.Fatalf("%s: total %d < compute %d", w.Stage, w.TotalNs, w.ComputeNs)
-		}
-		if w.CacheHits > w.Count {
-			t.Fatalf("%s: hits %d > count %d", w.Stage, w.CacheHits, w.Count)
-		}
-	}
-	for _, stage := range []string{StageSchedule, StageRegbind, StageBind, StageDatapath, StageMap, StageSim, StagePower} {
-		if _, ok := pos[stage]; !ok {
-			t.Fatalf("stage %s missing from wallclock rollup", stage)
-		}
-	}
-	if pos[StageSchedule] > pos[StageMap] || pos[StageMap] > pos[StagePower] {
-		t.Fatal("stages not in pipeline order")
-	}
-}

@@ -45,54 +45,6 @@ func TestBindStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestBindIterSpansRecorded: an HLPower run's trace carries one
-// bind.iter sub-span per merge round, with the scoring counters as
-// attrs; a cache-served binding does not re-emit them.
-func TestBindIterSpansRecorded(t *testing.T) {
-	se := smallSession()
-	p := se.Benchmarks[0]
-	r, err := se.Run(bgc, p, BinderHLPower05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var iters []int
-	for _, sp := range r.StageTrace {
-		if sp.Stage != StageBindIter {
-			continue
-		}
-		for _, k := range []string{"iter", "edges_scored", "edges_reused", "merges", "invalidation", "score_ns", "solve_ns"} {
-			if _, ok := sp.Attrs[k]; !ok {
-				t.Fatalf("bind.iter span missing attr %q: %v", k, sp.Attrs)
-			}
-		}
-		iters = append(iters, int(sp.Attrs["iter"]))
-	}
-	stats := se.BindStats()
-	if len(stats) != 1 || len(iters) != stats[0].Report.Iterations {
-		t.Fatalf("%d bind.iter spans for %d engine iterations", len(iters), stats[0].Report.Iterations)
-	}
-	for i, it := range iters {
-		if it != i+1 {
-			t.Fatalf("iteration spans out of order: %v", iters)
-		}
-	}
-	before := len(se.TraceSpans())
-	// Same spec through a derived session: the bind is cache-served, so
-	// no new bind.iter spans may appear.
-	if _, err := se.Derive(se.Cfg).Run(bgc, p, BinderHLPower05); err != nil {
-		t.Fatal(err)
-	}
-	extra := 0
-	for _, sp := range se.TraceSpans()[before:] {
-		if sp.Stage == StageBindIter {
-			extra++
-		}
-	}
-	if extra != 0 {
-		t.Fatalf("cache-served bind re-emitted %d bind.iter spans", extra)
-	}
-}
-
 // TestBindJobsInvariance is the non-semantic worker-count contract at
 // the flow layer: BindJobs must not enter the bind cache key, and the
 // measured results at -j style worker counts 1 and 8 must be

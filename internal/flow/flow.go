@@ -225,11 +225,6 @@ type Result struct {
 	Counts sim.Counts
 	// Power is the PowerPlay-equivalent report.
 	Power power.Report
-	// StageTrace records the pipeline stages this run executed (or
-	// fetched from cache), in order, with durations and cache hits. For
-	// a Result served from a Session's run cache the trace is the one
-	// recorded when the run first executed.
-	StageTrace []pipeline.Span
 }
 
 // Session caches pipeline runs so the table generators can share them
@@ -270,10 +265,9 @@ type Session struct {
 	// cancellation or injected fault as its own result).
 	runs *pipeline.Cache
 
-	// stages is the shared per-stage artifact cache; trace accumulates
-	// every stage span recorded across the session.
+	// stages is the shared per-stage artifact cache; its per-class Stats
+	// are the session's per-stage demand, hit and time record.
 	stages *pipeline.Cache
-	trace  *pipeline.Trace
 }
 
 // runClass is the runs-cache class key; kept out of StageNames so
@@ -291,12 +285,11 @@ func NewSession(cfg Config) *Session {
 		Benchmarks: workload.Benchmarks,
 		runs:       pipeline.NewCache(),
 		stages:     pipeline.NewCache(),
-		trace:      new(pipeline.Trace),
 	}
 }
 
 // Derive returns a new Session for a different configuration that
-// shares this session's stage-artifact cache (and trace). Runs in the
+// shares this session's stage-artifact cache. Runs in the
 // derived session recompute only the stages whose inputs cfg actually
 // changes — the cross-config analogue of the in-session sweep sharing:
 // deriving a session per DelaySeed, say, reuses every artifact through
@@ -310,7 +303,6 @@ func (se *Session) Derive(cfg Config) *Session {
 		Jobs:       se.Jobs,
 		runs:       pipeline.NewCache(),
 		stages:     se.stages,
-		trace:      se.trace,
 	}
 }
 
@@ -337,7 +329,7 @@ func (se *Session) runKey(p workload.Profile, b Binder) string {
 //
 // If this call ends up executing the pipeline (rather than being served
 // from the run cache or waiting out another caller's execution), every
-// stage span is also recorded into the traces ctx carries
+// stage span is recorded into the traces ctx carries
 // (pipeline.WithTraces) as it completes — the daemon's progress
 // streaming attaches an observer to such a trace.
 func (se *Session) Run(ctx context.Context, p workload.Profile, b Binder) (*Result, error) {
@@ -374,22 +366,15 @@ func (se *Session) RunGraphCtx(ctx context.Context, g *cdfg.Graph, name string, 
 // run is the one execution path behind every run entry point: it
 // demands key from the run cache and, on a miss, obtains the scheduled
 // front end from front and executes the staged pipeline through the
-// session's stage cache. Stage spans go to the session trace, the
-// Result's own trace and any traces the caller's ctx carries.
+// session's stage cache. Stage spans go to the traces the caller's ctx
+// carries.
 func (se *Session) run(ctx context.Context, key, name string, rc cdfg.ResourceConstraint, b Binder, front func(context.Context) (*schedArtifact, error)) (*Result, error) {
 	v, _, err := se.runs.Do(ctx, runClass, key, func() (any, error) {
-		var tr pipeline.Trace
-		ctx := pipeline.WithTraces(ctx, se.trace, &tr)
 		fe, err := front(ctx)
 		if err != nil {
 			return nil, err
 		}
-		r, err := runPipeline(ctx, se.stages, se.Cfg, fe, name, rc, b)
-		if err != nil {
-			return nil, err
-		}
-		r.StageTrace = tr.Spans()
-		return r, nil
+		return runPipeline(ctx, se.stages, se.Cfg, fe, name, rc, b)
 	})
 	if err != nil {
 		return nil, err
@@ -409,70 +394,12 @@ func (se *Session) Peek(p workload.Profile, b Binder) (*Result, bool) {
 }
 
 // StageStats returns the per-stage cache counters of the session's
-// artifact cache: how many times each pipeline stage was demanded and
-// how often the demand was served from cache. Stage names follow
+// artifact cache: how many times each pipeline stage was demanded, how
+// often the demand was served from cache, and the time spent computing
+// and waiting. Derived sessions share the counters. Stage names follow
 // StageNames.
 func (se *Session) StageStats() map[string]pipeline.Stats {
 	return se.stages.AllStats()
-}
-
-// TraceSpans returns every stage span recorded across the session's
-// lifetime, in completion order. With concurrent runs (RunAll) the
-// interleaving follows goroutine scheduling; per-run ordered traces are
-// on Result.StageTrace.
-func (se *Session) TraceSpans() []pipeline.Span {
-	return se.trace.Spans()
-}
-
-// StageWallclock is the cumulative wall-clock record of one pipeline
-// stage across a session's lifetime: how many times the stage was
-// demanded, how many demands were cache hits, and the total time spent
-// (ComputeNs excludes the hits, so it is the time actually burned
-// computing).
-type StageWallclock struct {
-	Stage     string `json:"stage"`
-	Count     int    `json:"count"`
-	CacheHits int    `json:"cache_hits"`
-	TotalNs   int64  `json:"total_ns"`
-	ComputeNs int64  `json:"compute_ns"`
-}
-
-// StageWallclock aggregates the session's trace spans into per-stage
-// cumulative wall-clock totals, ordered as StageNames (stages that
-// never ran are omitted; sub-spans such as bind.iter follow the
-// pipeline stages, sorted by name).
-func (se *Session) StageWallclock() []StageWallclock {
-	agg := make(map[string]*StageWallclock)
-	for _, sp := range se.trace.Spans() {
-		w := agg[sp.Stage]
-		if w == nil {
-			w = &StageWallclock{Stage: sp.Stage}
-			agg[sp.Stage] = w
-		}
-		w.Count++
-		w.TotalNs += sp.DurationNs
-		if sp.CacheHit {
-			w.CacheHits++
-		} else {
-			w.ComputeNs += sp.DurationNs
-		}
-	}
-	var out []StageWallclock
-	for _, name := range StageNames {
-		if w, ok := agg[name]; ok {
-			out = append(out, *w)
-			delete(agg, name)
-		}
-	}
-	var rest []string
-	for name := range agg {
-		rest = append(rest, name)
-	}
-	sort.Strings(rest)
-	for _, name := range rest {
-		out = append(out, *agg[name])
-	}
-	return out
 }
 
 // BindStat is one binding-engine report with its provenance: the

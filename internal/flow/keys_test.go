@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/pipeline"
 	"repro/internal/satable"
 	"repro/internal/workload"
 )
@@ -77,15 +78,13 @@ func TestStoreKeysPinned(t *testing.T) {
 	se := NewSession(cfg)
 	pr, _ := workload.ByName("pr")
 	for _, b := range []Binder{BinderLOPASS, BinderHLPower05} {
-		r, err := se.Run(bgc, pr, b)
-		if err != nil {
+		var tr pipeline.Trace
+		if _, err := se.Run(pipeline.WithTraces(bgc, &tr), pr, b); err != nil {
 			t.Fatal(err)
 		}
 		got := make(map[string]string)
-		for _, sp := range r.StageTrace {
-			if sp.Stage != StageBindIter {
-				got[sp.Stage] = sp.Key
-			}
+		for _, sp := range tr.Spans() {
+			got[sp.Stage] = sp.Key
 		}
 		if len(got) != len(StageNames) {
 			t.Errorf("%s: trace has stages %v, want %v", b.Name, got, StageNames)

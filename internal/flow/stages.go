@@ -435,7 +435,6 @@ var stageBind = pipeline.Stage[bindIn, *bindArtifact]{
 				return nil, fmt.Errorf("flow: %s/%s: %w", in.name, in.binder, err)
 			}
 			res, rt, engRep = r, rep.Runtime, rep
-			emitIterSpans(ctx, in.name, in.spec.label(), rep)
 		case "lopass":
 			r, rep, err := lopass.Bind(g, s, rb, in.rc, lopass.Options{Swap: in.rba.swap, Table: in.spec.table, Jobs: in.spec.workers})
 			if err != nil {
@@ -464,39 +463,6 @@ var stageBind = pipeline.Stage[bindIn, *bindArtifact]{
 		}, nil
 	},
 	Size: func(a *bindArtifact) int { return len(a.res.FUs) },
-}
-
-// StageBindIter is the sub-span name the bind stage records once per
-// engine merge round. These spans appear in traces only (they are not a
-// pipeline stage and carry no cache key of their own).
-const StageBindIter = "bind.iter"
-
-// emitIterSpans records one bind.iter span per engine merge round into
-// the traces the context carries. Spans ride the compute path,
-// so a cached binding never re-emits them.
-func emitIterSpans(ctx context.Context, bench, algo string, rep *core.Report) {
-	for _, it := range rep.Iters {
-		ratio := 0.0
-		if total := it.EdgesScored + it.EdgesReused; total > 0 {
-			ratio = float64(it.EdgesScored) / float64(total)
-		}
-		pipeline.AddSpan(ctx, pipeline.Span{
-			Stage:      StageBindIter,
-			Key:        fmt.Sprintf("%s/%s#%d", bench, algo, it.Iter),
-			DurationNs: it.ScoreNs + it.SolveNs,
-			Attrs: map[string]float64{
-				"iter":         float64(it.Iter),
-				"u_nodes":      float64(it.UNodes),
-				"v_nodes":      float64(it.VNodes),
-				"edges_scored": float64(it.EdgesScored),
-				"edges_reused": float64(it.EdgesReused),
-				"merges":       float64(it.Merges),
-				"invalidation": ratio,
-				"score_ns":     float64(it.ScoreNs),
-				"solve_ns":     float64(it.SolveNs),
-			},
-		})
-	}
 }
 
 // stageDatapath selects module architectures (optional) and elaborates

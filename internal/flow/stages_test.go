@@ -530,24 +530,27 @@ func TestNormalizeDerivesFromArch(t *testing.T) {
 	}
 }
 
-// TestRunRecordsStageTrace checks every Result carries its ordered
-// per-stage trace, and that a second binder's trace shows the shared
-// front end as cache hits.
+// TestRunRecordsStageTrace checks a run records its ordered per-stage
+// spans into the traces its context carries, that a second binder's
+// spans show the shared front end as cache hits, that an outer trace
+// collects both runs, and that a run served whole from the run cache
+// records no span.
 func TestRunRecordsStageTrace(t *testing.T) {
 	se := smallSession()
 	p := se.Benchmarks[0]
-	r1, err := se.Run(bgc, p, BinderLOPASS)
-	if err != nil {
+	var all, t1, t2, t3 pipeline.Trace
+	ctx := pipeline.WithTraces(bgc, &all)
+	if _, err := se.Run(pipeline.WithTraces(ctx, &t1), p, BinderLOPASS); err != nil {
 		t.Fatal(err)
 	}
 	var order []string
-	for _, sp := range r1.StageTrace {
+	for _, sp := range t1.Spans() {
 		order = append(order, sp.Stage)
 	}
 	if !reflect.DeepEqual(order, StageNames) {
 		t.Fatalf("trace stages %v, want %v", order, StageNames)
 	}
-	for _, sp := range r1.StageTrace {
+	for _, sp := range t1.Spans() {
 		if sp.CacheHit {
 			t.Errorf("first run recorded a %s cache hit", sp.Stage)
 		}
@@ -555,12 +558,11 @@ func TestRunRecordsStageTrace(t *testing.T) {
 			t.Errorf("%s span has no key", sp.Stage)
 		}
 	}
-	r2, err := se.Run(bgc, p, BinderHLPower05)
-	if err != nil {
+	if _, err := se.Run(pipeline.WithTraces(ctx, &t2), p, BinderHLPower05); err != nil {
 		t.Fatal(err)
 	}
 	hits := map[string]bool{}
-	for _, sp := range r2.StageTrace {
+	for _, sp := range t2.Spans() {
 		hits[sp.Stage] = sp.CacheHit
 	}
 	if !hits[StageSchedule] || !hits[StageRegbind] {
@@ -569,9 +571,57 @@ func TestRunRecordsStageTrace(t *testing.T) {
 	if hits[StageBind] {
 		t.Error("different binder spec hit the bind cache")
 	}
-	// Session trace accumulates both runs' spans.
-	if got, want := len(se.TraceSpans()), len(r1.StageTrace)+len(r2.StageTrace); got != want {
-		t.Errorf("session trace has %d spans, want %d", got, want)
+	if got, want := len(all.Spans()), len(t1.Spans())+len(t2.Spans()); got != want {
+		t.Errorf("outer trace has %d spans, want %d", got, want)
+	}
+	if _, err := se.Run(pipeline.WithTraces(bgc, &t3), p, BinderLOPASS); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(t3.Spans()); n != 0 {
+		t.Errorf("run-cache hit recorded %d spans, want 0", n)
+	}
+}
+
+// TestStageStatsMatchSpans checks the stage cache's counters against
+// the spans one context trace records over runs of pr under LOPASS,
+// HLPower a=0.5, LOPASS again (a run-cache hit) and LOPASS in a derived
+// session (every stage a cache hit): per stage, one span per demand,
+// one hit span per hit, and compute time wherever a miss occurred.
+func TestStageStatsMatchSpans(t *testing.T) {
+	se := NewSession(testConfig())
+	pr, _ := workload.ByName("pr")
+	var tr pipeline.Trace
+	ctx := pipeline.WithTraces(bgc, &tr)
+	for _, run := range []struct {
+		se *Session
+		b  Binder
+	}{{se, BinderLOPASS}, {se, BinderHLPower05}, {se, BinderLOPASS}, {se.Derive(se.Cfg), BinderLOPASS}} {
+		if _, err := run.se.Run(ctx, pr, run.b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spans, hitSpans := map[string]int{}, map[string]int{}
+	for _, sp := range tr.Spans() {
+		spans[sp.Stage]++
+		if sp.CacheHit {
+			hitSpans[sp.Stage]++
+		}
+	}
+	stats := se.StageStats()
+	for _, stage := range StageNames {
+		st := stats[stage]
+		if n := st.Hits + st.Misses + st.BackingHits; n != spans[stage] {
+			t.Errorf("%s: %d demands counted, %d spans", stage, n, spans[stage])
+		}
+		if n := st.Hits + st.BackingHits; n != hitSpans[stage] {
+			t.Errorf("%s: %d hits counted, %d hit spans", stage, n, hitSpans[stage])
+		}
+		if st.Misses > 0 && st.ComputeNs <= 0 {
+			t.Errorf("%s: %d misses with no compute time", stage, st.Misses)
+		}
+	}
+	if st := stats[StageSchedule]; st.Misses != 1 || st.Hits != 2 {
+		t.Errorf("schedule %+v, want 1 miss and 2 hits", st)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/bitvec"
 	"repro/internal/cuts"
@@ -161,8 +160,6 @@ func (c *MacroCover) UnmarshalJSON(b []byte) error {
 type MacroCache struct {
 	stages *pipeline.Cache
 	class  string
-
-	hits, misses atomic.Int64
 }
 
 // NewMacroCache returns a cover cache. stages may be nil (a private
@@ -175,33 +172,28 @@ func NewMacroCache(stages *pipeline.Cache, class string) *MacroCache {
 	return &MacroCache{stages: stages, class: class}
 }
 
-// Stats reports (hit, miss) counters: hits are cover demands served
-// without computing (including waits on another goroutine's in-flight
-// computation and durable-store reads).
+// Stats reports the class's (hit, miss) counters from the cache: hits
+// are cover demands served without computing (including waits on
+// another goroutine's in-flight computation and durable-store reads).
+// Every MacroCache over the same cache and class shares them.
 func (mc *MacroCache) Stats() (hits, misses int64) {
-	return mc.hits.Load(), mc.misses.Load()
+	st := mc.stages.StatsFor(mc.class)
+	return int64(st.Hits + st.BackingHits), int64(st.Misses)
 }
 
 // do returns the cover for key, computing it at most once per key.
 func (mc *MacroCache) do(key string, compute func() (*MacroCover, error)) (*MacroCover, error) {
-	v, hit, err := mc.stages.Do(context.Background(), mc.class, key, func() (any, error) {
+	v, _, err := mc.stages.Do(context.Background(), mc.class, key, func() (any, error) {
 		return compute()
 	})
 	if err != nil {
-		mc.misses.Add(1)
 		return nil, err
 	}
 	cover, ok := v.(*MacroCover)
 	if !ok {
 		// A foreign artifact under our class (renamed backing
-		// misconfiguration); behave like a miss.
-		mc.misses.Add(1)
+		// misconfiguration); compute our own.
 		return compute()
-	}
-	if hit {
-		mc.hits.Add(1)
-	} else {
-		mc.misses.Add(1)
 	}
 	return cover, nil
 }

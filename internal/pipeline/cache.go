@@ -14,16 +14,24 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 )
 
-// Stats counts cache traffic for one artifact class. A waiter served by
-// another goroutine's in-flight computation counts as a hit: the work
-// ran once. A demand served from the backing store counts as a
-// BackingHit — it avoided the computation but paid a disk read.
+// Stats counts cache traffic for one artifact class, and the time it
+// took. A waiter served by another goroutine's in-flight computation
+// counts as a hit: the work ran once. A demand served from the backing
+// store counts as a BackingHit — it avoided the computation but paid a
+// disk read. Every demand is one of the three, so Hits+Misses+BackingHits
+// is the class's demand count.
 type Stats struct {
 	Hits        int
 	Misses      int
 	BackingHits int
+	// ComputeNs is the time spent computing on misses. WaitNs is the
+	// time hits spent waiting: on another caller's in-flight
+	// computation, or on a backing-store read.
+	ComputeNs int64
+	WaitNs    int64
 }
 
 // Backing is a second-level artifact store a Cache consults on miss and
@@ -135,11 +143,14 @@ func (c *Cache) Do(ctx context.Context, class, key string, fn func() (any, error
 		if e, ok := m[key]; ok {
 			st.Hits++
 			c.mu.Unlock()
+			start := time.Now()
 			select {
 			case <-e.done:
 			case <-ctx.Done():
+				c.addNs(&st.WaitNs, start)
 				return nil, false, ctx.Err()
 			}
+			c.addNs(&st.WaitNs, start)
 			if e.err != nil {
 				// The shared computation failed (error, panic, or the
 				// computing caller's cancellation). The entry is already
@@ -157,10 +168,12 @@ func (c *Cache) Do(ctx context.Context, class, key string, fn func() (any, error
 		// (it does I/O). Waiters block on e.done either way, so the read
 		// is still singleflight.
 		if b != nil {
+			start := time.Now()
 			if v, ok := b.Get(ctx, class, key); ok {
 				e.val = v
 				c.mu.Lock()
 				st.BackingHits++
+				st.WaitNs += int64(time.Since(start))
 				c.mu.Unlock()
 				close(e.done)
 				return v, true, nil
@@ -170,14 +183,16 @@ func (c *Cache) Do(ctx context.Context, class, key string, fn func() (any, error
 		st.Misses++
 		c.mu.Unlock()
 
+		start := time.Now()
 		completed := false
 		defer func() {
+			c.mu.Lock()
 			if !completed {
-				// fn panicked: unblock waiters with an error, drop the entry,
-				// and let the panic propagate.
+				// fn panicked: count its time, unblock waiters with an
+				// error, drop the entry, and let the panic propagate.
+				st.ComputeNs += int64(time.Since(start))
 				e.err = fmt.Errorf("pipeline: computing %s/%s panicked", class, key)
 			}
-			c.mu.Lock()
 			if e.err != nil {
 				delete(m, key)
 			}
@@ -186,6 +201,7 @@ func (c *Cache) Do(ctx context.Context, class, key string, fn func() (any, error
 		}()
 		e.val, e.err = fn()
 		completed = true
+		c.addNs(&st.ComputeNs, start)
 		if e.err == nil && b != nil {
 			// Write-through before returning: the computing caller pays
 			// the (small, atomic) disk write, so a drain that waits out
@@ -195,6 +211,14 @@ func (c *Cache) Do(ctx context.Context, class, key string, fn func() (any, error
 		}
 		return e.val, false, e.err
 	}
+}
+
+// addNs adds the time since start to one of a class's Stats durations.
+func (c *Cache) addNs(field *int64, start time.Time) {
+	d := int64(time.Since(start))
+	c.mu.Lock()
+	*field += d
+	c.mu.Unlock()
 }
 
 // SetBacking attaches a second-level store: Do consults it after a
@@ -266,7 +290,7 @@ func (c *Cache) Len(class string) int {
 	return n
 }
 
-// StatsFor returns the hit/miss counters of one class.
+// StatsFor returns the counters and times of one class.
 func (c *Cache) StatsFor(class string) Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -276,7 +300,7 @@ func (c *Cache) StatsFor(class string) Stats {
 	return Stats{}
 }
 
-// AllStats returns the hit/miss counters of every class with traffic.
+// AllStats returns the counters and times of every class with traffic.
 func (c *Cache) AllStats() map[string]Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 var bg = context.Background()
@@ -27,6 +28,36 @@ func TestDoComputesOnceAndCountsStats(t *testing.T) {
 	}
 	if st := c.StatsFor("s"); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats %+v, want 1 hit / 1 miss", st)
+	}
+}
+
+// TestDoRecordsTimes: a miss adds the time fn ran to ComputeNs, and a
+// demand that waits out another caller's in-flight computation adds its
+// wait to WaitNs.
+func TestDoRecordsTimes(t *testing.T) {
+	c := NewCache()
+	const d = 5 * time.Millisecond
+	started, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Do(bg, "s", "k", func() (any, error) {
+			close(started)
+			time.Sleep(d)
+			return 1, nil
+		})
+	}()
+	<-started
+	_, hit, err := c.Do(bg, "s", "k", func() (any, error) { return nil, errors.New("must not run") })
+	<-done
+	if err != nil || !hit {
+		t.Fatalf("waiter: hit=%v err=%v", hit, err)
+	}
+	st := c.StatsFor("s")
+	if st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("stats %+v, want 1 miss / 1 hit", st)
+	}
+	if st.ComputeNs < int64(d) || st.WaitNs <= 0 {
+		t.Fatalf("stats %+v: want ComputeNs >= %d and WaitNs > 0", st, int64(d))
 	}
 }
 
@@ -241,15 +272,18 @@ func TestStageExecCachesAndTraces(t *testing.T) {
 }
 
 // TestWithTracesAppends: traces accumulate down a context chain — an
-// Exec (and its body's AddSpan sub-spans) under an inner WithTraces
+// Exec (and the Exec nested in its body) under an inner WithTraces
 // records into the outer trace as well, sibling contexts do not see
 // each other's traces, and the outer context is unchanged.
 func TestWithTracesAppends(t *testing.T) {
+	sub := Stage[int, int]{
+		Name: "sub",
+		Run:  func(_ context.Context, in int) (int, error) { return in, nil },
+	}
 	st := Stage[int, int]{
 		Name: "s",
 		Run: func(ctx context.Context, in int) (int, error) {
-			AddSpan(ctx, Span{Stage: "sub"})
-			return in, nil
+			return sub.Exec(ctx, nil, in)
 		},
 	}
 	var outer, a, b Trace

@@ -20,13 +20,7 @@ type Span struct {
 	// Size is the stage's artifact size metric (stage-defined: nodes,
 	// LUTs, transition count, ...). 0 when the stage defines none.
 	Size int `json:"size,omitempty"`
-	// Attrs carries stage-defined numeric detail (e.g. the bind stage's
-	// per-iteration scoring counters). Nil for plain stage spans.
-	Attrs map[string]float64 `json:"attrs,omitempty"`
 }
-
-// Duration returns the span's wall-clock duration.
-func (s Span) Duration() time.Duration { return time.Duration(s.DurationNs) }
 
 // Trace accumulates spans. It is safe for concurrent use; a nil *Trace
 // discards everything, so traces are opt-in at every call site.
@@ -100,11 +94,9 @@ type Stage[In, Out any] struct {
 
 // Exec runs the stage on in through cache c (nil = always compute),
 // recording one span into every trace the context carries (WithTraces).
-// The stage body runs under the same context, so its sub-spans
-// (AddSpan) land in those traces too; they ride the compute path only —
-// a cache hit never re-enters Run, so sub-spans are recorded exactly
-// once per computed artifact. Concurrent Exec calls with the same key
-// share a single successful Run.
+// The stage body runs under the same context, so the spans of stages it
+// executes in turn land in those traces too. Concurrent Exec calls with
+// the same key share a single successful Run.
 //
 // Failure model: every error Exec returns is a *StageError (or wraps
 // one) carrying the stage name, the input's Scope, and the cache key —
@@ -144,7 +136,10 @@ func (s Stage[In, Out]) Exec(ctx context.Context, c *Cache, in In) (Out, error) 
 	if err == nil && s.Size != nil {
 		sp.Size = s.Size(out)
 	}
-	AddSpan(ctx, sp)
+	trs, _ := ctx.Value(tracesCtxKey{}).([]*Trace)
+	for _, tr := range trs {
+		tr.Add(sp)
+	}
 	return out, err
 }
 

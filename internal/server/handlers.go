@@ -14,6 +14,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/pipeline"
 	"repro/internal/satable"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -93,13 +94,16 @@ type configOverrides struct {
 // Bounds on untrusted request sizes. A width override elaborates
 // O(width²)-gate array multipliers and every distinct override derives
 // a new session, so width is capped at the SA table's own load bound
-// (satable.MaxLoadWidth) and vectors at maxVectors. maxIngestOps caps
-// inline ingest graphs, and their rc.add and rc.mult, since the binders
-// allocate and score every constrained unit; it still admits the
-// 10032-op ctrl-10k tier.
+// (satable.MaxLoadWidth) and vectors at maxVectors. A derived session
+// lives as long as the server, with its own run cache (and SA tables,
+// for a new width), so maxDerivedSessions caps the distinct override
+// configurations. maxIngestOps caps inline ingest graphs, and their
+// rc.add and rc.mult, since the binders allocate and score every
+// constrained unit; it still admits the 10032-op ctrl-10k tier.
 const (
-	maxVectors   = 100000
-	maxIngestOps = 16384
+	maxVectors         = 100000
+	maxDerivedSessions = 64
+	maxIngestOps       = 16384
 )
 
 func (o configOverrides) apply(base flow.Config) (flow.Config, error) {
@@ -184,7 +188,6 @@ type BindResult struct {
 	Depth       int     `json:"depth"`
 	MuxLen      int     `json:"mux_len"`
 	Regs        int     `json:"regs"`
-	Stages      int     `json:"stages"` // pipeline spans recorded for this run
 }
 
 func bindResult(p workload.Profile, b flow.Binder, r *flow.Result, warm bool, elapsed time.Duration) BindResult {
@@ -200,7 +203,6 @@ func bindResult(p workload.Profile, b flow.Binder, r *flow.Result, warm bool, el
 		Depth:       r.Depth,
 		MuxLen:      r.FUMux.Length,
 		Regs:        r.NumRegs,
-		Stages:      len(r.StageTrace),
 	}
 }
 
@@ -453,12 +455,12 @@ type Statsz struct {
 	Sessions int   `json:"sessions"`  // distinct configurations derived
 	Draining bool  `json:"draining"`
 
+	// Stages holds the shared stage cache's per-class counters: demands
+	// served from memory, from the store and by computing, and the
+	// nanoseconds spent computing and waiting — where a long-lived
+	// daemon's pipeline time has actually gone.
 	Stages map[string]pipeline.Stats `json:"stages"`
-	// StageWallclock is the base session's cumulative per-stage
-	// wall-clock: demands, cache hits, total and compute nanoseconds —
-	// where a long-lived daemon's pipeline time has actually gone.
-	StageWallclock []flow.StageWallclock `json:"stage_wallclock,omitempty"`
-	Store          *StoreStatsz          `json:"store,omitempty"`
+	Store  *store.Stats              `json:"store,omitempty"`
 
 	// Ingest reports the streaming-ingestion batcher: batches < requests
 	// under concurrent load means submissions actually shared admission
@@ -478,33 +480,19 @@ type IngestStatsz struct {
 	MaxBatch int64 `json:"max_batch"`
 }
 
-// StoreStatsz mirrors store.Stats with JSON names.
-type StoreStatsz struct {
-	Hits        int   `json:"hits"`
-	Misses      int   `json:"misses"`
-	Quarantined int   `json:"quarantined"`
-	Puts        int   `json:"puts"`
-	PutSkips    int   `json:"put_skips"`
-	PutErrors   int   `json:"put_errors"`
-	Evicted     int   `json:"evicted"`
-	Entries     int   `json:"entries"`
-	Bytes       int64 `json:"bytes"`
-}
-
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) error {
 	s.mu.Lock()
 	nSessions := len(s.sessions)
 	s.mu.Unlock()
 	st := Statsz{
-		InFlight:       s.load.Load(),
-		Requests:       s.requests.Load(),
-		Shed:           s.shed.Load(),
-		Panics:         s.panics.Load(),
-		WarmHits:       s.warmHits.Load(),
-		Sessions:       nSessions,
-		Draining:       s.draining.Load(),
-		Stages:         s.base.StageStats(),
-		StageWallclock: s.base.StageWallclock(),
+		InFlight: s.load.Load(),
+		Requests: s.requests.Load(),
+		Shed:     s.shed.Load(),
+		Panics:   s.panics.Load(),
+		WarmHits: s.warmHits.Load(),
+		Sessions: nSessions,
+		Draining: s.draining.Load(),
+		Stages:   s.base.StageStats(),
 		Ingest: IngestStatsz{
 			Requests: s.ingestRequests.Load(),
 			Batches:  s.ingestBatches.Load(),
@@ -521,11 +509,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) error {
 	}
 	if s.opts.Store != nil {
 		ss := s.opts.Store.Stats()
-		st.Store = &StoreStatsz{
-			Hits: ss.Hits, Misses: ss.Misses, Quarantined: ss.Quarantined,
-			Puts: ss.Puts, PutSkips: ss.PutSkips, PutErrors: ss.PutErrors,
-			Evicted: ss.Evicted, Entries: ss.Entries, Bytes: ss.Bytes,
-		}
+		st.Store = &ss
 	}
 	writeJSON(w, http.StatusOK, st)
 	return nil

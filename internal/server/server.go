@@ -205,7 +205,8 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // overrides, deriving (and caching) one per distinct configuration.
 // Derived sessions share the base session's stage cache — and the
 // durable store, when attached — so overlapping configurations share
-// artifacts exactly as CLI sweeps do.
+// artifacts exactly as CLI sweeps do. Past maxDerivedSessions a new
+// configuration is refused with 503.
 func (s *Server) session(o configOverrides) (*flow.Session, error) {
 	cfg, err := o.apply(s.base.Cfg)
 	if err != nil {
@@ -216,6 +217,10 @@ func (s *Server) session(o configOverrides) (*flow.Session, error) {
 	defer s.mu.Unlock()
 	if se, ok := s.sessions[fp]; ok {
 		return se, nil
+	}
+	if len(s.sessions) > maxDerivedSessions { // the base is not derived
+		return nil, &httpError{http.StatusServiceUnavailable, fmt.Sprintf(
+			"configuration limit reached: the server derives at most %d configurations from its base", maxDerivedSessions)}
 	}
 	se := s.base.Derive(cfg)
 	se.Jobs = s.opts.Jobs

@@ -236,9 +236,9 @@ func TestDeadlineExpiryIs504(t *testing.T) {
 	leak()
 }
 
-// TestStreamingBind: NDJSON responses carry per-stage span events
-// before the final result event, and an injected failure surfaces as a
-// structured error event on the committed stream.
+// TestStreamingBind: a cold NDJSON response carries one span event per
+// pipeline stage before the final result event, and an injected
+// failure surfaces as a structured error event on the committed stream.
 func TestStreamingBind(t *testing.T) {
 	leak := checkGoroutines(t)
 	s := New(Options{Cfg: testConfig()})
@@ -266,8 +266,8 @@ func TestStreamingBind(t *testing.T) {
 		last = ev
 	}
 	resp.Body.Close()
-	if spans == 0 {
-		t.Fatal("stream carried no span events")
+	if spans != len(flow.StageNames) {
+		t.Fatalf("cold stream carried %d span events, want one per stage (%d)", spans, len(flow.StageNames))
 	}
 	if last.Type != "result" || last.Result == nil || last.Result.PowerMW <= 0 {
 		t.Fatalf("stream did not end in a result: %+v", last)
@@ -437,5 +437,44 @@ func TestSessionSharingAcrossConfigs(t *testing.T) {
 	s.mu.Unlock()
 	if n != 2 { // base + k6
 		t.Fatalf("sessions = %d, want 2 (base + k6 override, reused)", n)
+	}
+}
+
+// TestDerivedSessionCap: overrides derive at most maxDerivedSessions
+// configurations. The next new one is refused with 503 naming the cap
+// before any flow work, the session count stays at the base plus the
+// cap, and a configuration already derived still resolves.
+func TestDerivedSessionCap(t *testing.T) {
+	s := New(Options{Cfg: testConfig()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// testConfig runs 20 vectors, so 101.. are all new configurations.
+	for i := 1; i <= maxDerivedSessions; i++ {
+		if _, err := s.session(configOverrides{Vectors: 100 + i}); err != nil {
+			t.Fatalf("configuration %d refused: %v", i, err)
+		}
+	}
+	body := fmt.Sprintf(`{"bench":"pr","vectors":%d}`, 100+maxDerivedSessions+1)
+	resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/bind", body)
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(out), fmt.Sprint(maxDerivedSessions)) {
+		t.Fatalf("configuration %d: %d %s, want 503 naming the cap", maxDerivedSessions+1, resp.StatusCode, out)
+	}
+
+	r, err := ts.Client().Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Statsz
+	err = json.NewDecoder(r.Body).Decode(&st)
+	r.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Sessions != maxDerivedSessions+1 {
+		t.Fatalf("sessions = %d, want %d (base + cap)", st.Sessions, maxDerivedSessions+1)
+	}
+	if _, err := s.session(configOverrides{Vectors: 101}); err != nil {
+		t.Fatalf("derived configuration refused at the cap: %v", err)
 	}
 }

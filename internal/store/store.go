@@ -81,16 +81,20 @@ type Options struct {
 type Stats struct {
 	// Hits and Misses count Get outcomes; Quarantined is the subset of
 	// misses caused by corrupt entries moved aside.
-	Hits, Misses, Quarantined int
+	Hits        int `json:"hits"`
+	Misses      int `json:"misses"`
+	Quarantined int `json:"quarantined"`
 	// Puts counts entries durably written; PutSkips counts Puts dropped
 	// because no codec covers the class (memory-only artifact classes);
 	// PutErrors counts write failures (ENOSPC, injected or real).
-	Puts, PutSkips, PutErrors int
+	Puts      int `json:"puts"`
+	PutSkips  int `json:"put_skips"`
+	PutErrors int `json:"put_errors"`
 	// Evicted counts LRU eviction victims.
-	Evicted int
+	Evicted int `json:"evicted"`
 	// Entries and Bytes describe the current on-disk footprint.
-	Entries int
-	Bytes   int64
+	Entries int   `json:"entries"`
+	Bytes   int64 `json:"bytes"`
 }
 
 // entryInfo is the in-memory accounting record of one on-disk entry.
