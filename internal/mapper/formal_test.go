@@ -15,31 +15,7 @@ import (
 // checks elsewhere.
 func TestMapRandomNetworksFormallyEquivalent(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		net := logic.NewNetwork("fz")
-		var pool []int
-		for i := 0; i < 3+rng.Intn(4); i++ {
-			pool = append(pool, net.AddInput("i"+string(rune('0'+i))))
-		}
-		if rng.Intn(2) == 0 {
-			pool = append(pool, net.AddConst("c", rng.Intn(2) == 0))
-		}
-		fns := []*bitvec.TruthTable{
-			logic.TTAnd2(), logic.TTOr2(), logic.TTXor2(), logic.TTNand2(),
-			logic.TTNot(), logic.TTMaj3(), logic.TTXor3(), logic.TTMux2(),
-		}
-		for g := 0; g < 8+rng.Intn(25); g++ {
-			fn := fns[rng.Intn(len(fns))]
-			fanins := make([]int, fn.NumVars())
-			for j := range fanins {
-				fanins[j] = pool[rng.Intn(len(pool))]
-			}
-			pool = append(pool, net.AddGate("", fn, fanins...))
-		}
-		for o := 0; o < 1+rng.Intn(3); o++ {
-			net.MarkOutput("o"+string(rune('0'+o)), pool[len(pool)-1-rng.Intn(4)])
-		}
-
+		net := formalNet(seed)
 		for _, k := range []int{4, 6} {
 			for _, mode := range []Mode{ModePower, ModeDepth, ModeArea} {
 				opt := DefaultOptions()
@@ -63,4 +39,34 @@ func TestMapRandomNetworksFormallyEquivalent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// formalNet builds a seeded random combinational network of 3–6
+// inputs, an optional constant and 8–32 gates.
+func formalNet(seed int64) *logic.Network {
+	rng := rand.New(rand.NewSource(seed))
+	net := logic.NewNetwork("fz")
+	var pool []int
+	for i := 0; i < 3+rng.Intn(4); i++ {
+		pool = append(pool, net.AddInput("i"+string(rune('0'+i))))
+	}
+	if rng.Intn(2) == 0 {
+		pool = append(pool, net.AddConst("c", rng.Intn(2) == 0))
+	}
+	fns := []*bitvec.TruthTable{
+		logic.TTAnd2(), logic.TTOr2(), logic.TTXor2(), logic.TTNand2(),
+		logic.TTNot(), logic.TTMaj3(), logic.TTXor3(), logic.TTMux2(),
+	}
+	for g := 0; g < 8+rng.Intn(25); g++ {
+		fn := fns[rng.Intn(len(fns))]
+		fanins := make([]int, fn.NumVars())
+		for j := range fanins {
+			fanins[j] = pool[rng.Intn(len(pool))]
+		}
+		pool = append(pool, net.AddGate("", fn, fanins...))
+	}
+	for o := 0; o < 1+rng.Intn(3); o++ {
+		net.MarkOutput("o"+string(rune('0'+o)), pool[len(pool)-1-rng.Intn(4)])
+	}
+	return net
 }

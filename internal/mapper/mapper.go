@@ -16,8 +16,10 @@
 package mapper
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/cuts"
@@ -177,8 +179,15 @@ type mapWorker struct {
 	est       *glitch.Estimator
 	waves     []glitch.Waveform
 	faninSets [][]cuts.Cut
-	arrs      []int
-	flowIns   []float64
+	costs     []candCost
+}
+
+// candCost is a candidate cut's waveform-free cost: its index in the
+// candidate list, its arrival time and its fanout-shared flow-in.
+type candCost struct {
+	i      int
+	arr    int
+	flowIn float64
 }
 
 func newMapWorker() *mapWorker {
@@ -400,13 +409,10 @@ func mapGate(net *logic.Network, id int, states []nodeState, sets [][]cuts.Cut, 
 		bestArr  int
 		bestFlow float64
 	)
-	switch opt.Mode {
-	case ModeDepth:
-		bestIdx, bestWave, bestArr, bestFlow = selectDepth(id, candidates, states, fanout, w)
-	case ModeArea:
+	if opt.Mode == ModeArea {
 		bestIdx, bestWave, bestArr, bestFlow = selectArea(id, candidates, states, fanout, w)
-	default:
-		bestIdx, bestWave, bestArr, bestFlow = selectFlow(id, candidates, states, fanout, opt.Mode, w)
+	} else {
+		bestIdx, bestWave, bestArr, bestFlow, _ = selectFlow(id, candidates, states, fanout, opt.Mode, w)
 	}
 	if bestIdx < 0 {
 		return &MapError{Node: nodeName(net, id), Err: errNoCut}
@@ -452,71 +458,60 @@ func candWave(c cuts.Cut, states []nodeState, w *mapWorker) glitch.Waveform {
 	return w.est.Propagate(c.Func, leafWaves)
 }
 
-// selectFlow is flow-first (ModePower) selection. The flow objective is
-// the propagated waveform's activity, so every candidate pays a
-// propagation.
-func selectFlow(id int, candidates []cuts.Cut, states []nodeState, fanout []int, mode Mode, w *mapWorker) (int, glitch.Waveform, int, float64) {
-	bestIdx := -1
-	var bestWave glitch.Waveform
-	var bestArr int
-	var bestFlow float64
+// selectFlow is selection for the two modes whose objective reads the
+// waveform: ModePower compares (flow, arrival, leaves), ModeDepth keeps
+// only the minimum-arrival candidates and compares (flow, leaves), and
+// a full tie goes to the lower candidate index in both. A candidate's
+// flow is its propagated waveform's activity plus its flow-in, and the
+// activity sums positive components only, so in float64 the flow is
+// never below the flow-in. Candidates are therefore propagated in
+// ascending flow-in, and selection stops at the first whose flow-in
+// exceeds the best flow found: neither it nor any later candidate can
+// win. The winner, its waveform and the published state are
+// bit-identical to evaluating every candidate in index order. The last
+// result is the number of waveforms propagated.
+func selectFlow(id int, candidates []cuts.Cut, states []nodeState, fanout []int, mode Mode, w *mapWorker) (int, glitch.Waveform, int, float64, int) {
+	costs := w.costs[:0]
 	for i, c := range candidates {
 		if len(c.Leaves) == 1 && c.Leaves[0] == id {
 			continue // trivial self-cut is not implementable
 		}
 		arr, flowIn := candMeasure(c, states, fanout)
-		wave := candWave(c, states, w)
-		flow := wave.Total() + flowIn
-		if bestIdx < 0 || better(mode, flow, arr, len(c.Leaves), bestFlow, bestArr, len(candidates[bestIdx].Leaves)) {
-			bestIdx, bestWave, bestArr, bestFlow = i, wave, arr, flow
+		if mode == ModeDepth && len(costs) > 0 {
+			if arr > costs[0].arr {
+				continue
+			}
+			if arr < costs[0].arr {
+				costs = costs[:0]
+			}
 		}
+		costs = append(costs, candCost{i: i, arr: arr, flowIn: flowIn})
 	}
-	return bestIdx, bestWave, bestArr, bestFlow
-}
-
-// selectDepth is arrival-first (ModeDepth) selection. Arrival and
-// flow-in are cheap integer/float reductions; the waveform matters only
-// for the flow tiebreak among minimum-arrival candidates, so
-// propagation — the dominant per-candidate cost — runs exclusively for
-// those. The winner, its waveform, and the published state are
-// bit-identical to exhaustive evaluation: a candidate above the minimum
-// arrival can never win the (arrival, flow, leaves) lexicographic
-// comparison, and ties keep the first-seen candidate in both forms.
-func selectDepth(id int, candidates []cuts.Cut, states []nodeState, fanout []int, w *mapWorker) (int, glitch.Waveform, int, float64) {
-	arrs := w.arrs[:0]
-	flowIns := w.flowIns[:0]
-	minArr := -1
-	for _, c := range candidates {
-		if len(c.Leaves) == 1 && c.Leaves[0] == id {
-			arrs = append(arrs, -1) // trivial self-cut is not implementable
-			flowIns = append(flowIns, 0)
-			continue
+	w.costs = costs
+	slices.SortFunc(costs, func(a, b candCost) int {
+		if c := cmp.Compare(a.flowIn, b.flowIn); c != 0 {
+			return c
 		}
-		arr, flowIn := candMeasure(c, states, fanout)
-		arrs = append(arrs, arr)
-		flowIns = append(flowIns, flowIn)
-		if minArr < 0 || arr < minArr {
-			minArr = arr
-		}
-	}
-	w.arrs, w.flowIns = arrs, flowIns
+		return a.i - b.i
+	})
 	bestIdx := -1
 	var bestWave glitch.Waveform
+	var bestArr int
 	var bestFlow float64
-	if minArr < 0 {
-		return -1, bestWave, 0, 0
-	}
-	for i, c := range candidates {
-		if arrs[i] != minArr { // arrivals are >= 1, so this also skips trivial cuts
-			continue
+	props := 0
+	for _, cc := range costs {
+		if bestIdx >= 0 && cc.flowIn > bestFlow {
+			break
 		}
+		c := candidates[cc.i]
 		wave := candWave(c, states, w)
-		flow := wave.Total() + flowIns[i]
-		if bestIdx < 0 || flow < bestFlow || (flow == bestFlow && len(c.Leaves) < len(candidates[bestIdx].Leaves)) {
-			bestIdx, bestWave, bestFlow = i, wave, flow
+		props++
+		flow := wave.Total() + cc.flowIn
+		if bestIdx < 0 || better(mode, flow, cc.arr, len(c.Leaves), cc.i, bestFlow, bestArr, len(candidates[bestIdx].Leaves), bestIdx) {
+			bestIdx, bestWave, bestArr, bestFlow = cc.i, wave, cc.arr, flow
 		}
 	}
-	return bestIdx, bestWave, minArr, bestFlow
+	return bestIdx, bestWave, bestArr, bestFlow, props
 }
 
 // selectArea is area-mode selection: the flow objective (1 + flow-in)
@@ -531,7 +526,7 @@ func selectArea(id int, candidates []cuts.Cut, states []nodeState, fanout []int,
 		}
 		arr, flowIn := candMeasure(c, states, fanout)
 		flow := 1 + flowIn
-		if bestIdx < 0 || better(ModeArea, flow, arr, len(c.Leaves), bestFlow, bestArr, len(candidates[bestIdx].Leaves)) {
+		if bestIdx < 0 || better(ModeArea, flow, arr, len(c.Leaves), i, bestFlow, bestArr, len(candidates[bestIdx].Leaves), bestIdx) {
 			bestIdx, bestArr, bestFlow = i, arr, flow
 		}
 	}
@@ -541,8 +536,9 @@ func selectArea(id int, candidates []cuts.Cut, states []nodeState, fanout []int,
 	return bestIdx, candWave(candidates[bestIdx], states, w), bestArr, bestFlow
 }
 
-// better compares candidate cut costs lexicographically per mode.
-func better(mode Mode, flow float64, arr, leaves int, bFlow float64, bArr, bLeaves int) bool {
+// better compares candidate cut costs lexicographically per mode; a
+// full tie goes to the lower candidate index.
+func better(mode Mode, flow float64, arr, leaves, i int, bFlow float64, bArr, bLeaves, bi int) bool {
 	switch mode {
 	case ModeDepth:
 		if arr != bArr {
@@ -551,7 +547,6 @@ func better(mode Mode, flow float64, arr, leaves int, bFlow float64, bArr, bLeav
 		if flow != bFlow {
 			return flow < bFlow
 		}
-		return leaves < bLeaves
 	default: // ModePower, ModeArea
 		if flow != bFlow {
 			return flow < bFlow
@@ -559,8 +554,11 @@ func better(mode Mode, flow float64, arr, leaves int, bFlow float64, bArr, bLeav
 		if arr != bArr {
 			return arr < bArr
 		}
+	}
+	if leaves != bLeaves {
 		return leaves < bLeaves
 	}
+	return i < bi
 }
 
 // extractCover walks backward from the roots (primary outputs and latch

@@ -25,11 +25,13 @@ import (
 //     index (u_i, v_i) into input i's 2×2 joint distribution, packed
 //     into one uint32 per pair.
 //
-// Chars are interned by table content in a package-global cache, so two
+// Chars are interned by table content in package-global caches, so two
 // structurally identical LUTs (ubiquitous in bit-sliced datapaths)
 // share one characterization and pointer equality on *Char means
 // functional equality — which is what makes (char, p, s) memoization in
-// the network estimators sound.
+// the network estimators sound. Every LUT function fits one backing
+// word (at most 6 variables), so the mapper's per-cut lookups key a map
+// on that word and render nothing.
 //
 // Every evaluation keeps the scalar implementation's summation and
 // multiplication order exactly, so results are bit-identical to the
@@ -63,22 +65,22 @@ type Char struct {
 // charSeq allocates Char identities.
 var charSeq atomic.Uint64
 
-// interns is the global content-keyed characterization cache.
-var interns sync.Map // string -> *Char
+// wordVars is the widest function whose truth table is one backing
+// word.
+const wordVars = 6
 
-// charByPtr is a pointer-keyed front cache over the content interns.
-// Truth-table pointers are stable for the life of a network, so the
-// warm estimation path resolves its characterization here without
-// rendering the content key (which allocates). Capped drop-and-rebuild
-// keeps a churn of throwaway tables from pinning unbounded memory.
+// byWord interns the characterizations of functions of at most wordVars
+// variables, keyed by (variable count, the table's one backing word).
+// Tables are canonical (no bits set past minterm 2^n), so equal keys
+// mean equal functions; n = 0 is a valid table too. A repeat lookup
+// takes the read lock only and allocates nothing.
 var (
-	charPtrMu sync.RWMutex
-	charByPtr = make(map[*bitvec.TruthTable]*Char)
+	byWordMu sync.RWMutex
+	byWord   = make(map[[2]uint64]*Char)
 )
 
-// maxPtrCacheEntries bounds charByPtr; past the cap it is dropped and
-// rebuilt from subsequent lookups.
-const maxPtrCacheEntries = 1 << 16
+// interns is the content-keyed cache of the wider characterizations.
+var interns sync.Map // string -> *Char
 
 // internKey renders the table content (variable count + backing words)
 // as a map key.
@@ -98,25 +100,28 @@ func internKey(f *bitvec.TruthTable) string {
 // computing the same function of the same arity share one *Char, so
 // pointer equality on the result is functional equality.
 func Characterize(f *bitvec.TruthTable) *Char {
-	charPtrMu.RLock()
-	c, ok := charByPtr[f]
-	charPtrMu.RUnlock()
+	if f.NumVars() > wordVars {
+		key := internKey(f)
+		if v, loaded := interns.Load(key); loaded {
+			return v.(*Char)
+		}
+		v, _ := interns.LoadOrStore(key, newChar(f))
+		return v.(*Char)
+	}
+	key := [2]uint64{uint64(f.NumVars()), f.Words()[0]}
+	byWordMu.RLock()
+	c, ok := byWord[key]
+	byWordMu.RUnlock()
 	if ok {
 		return c
 	}
-	key := internKey(f)
-	if v, loaded := interns.Load(key); loaded {
-		c = v.(*Char)
-	} else {
-		v, _ = interns.LoadOrStore(key, newChar(f))
-		c = v.(*Char)
+	byWordMu.Lock()
+	defer byWordMu.Unlock()
+	if c, ok := byWord[key]; ok {
+		return c
 	}
-	charPtrMu.Lock()
-	if len(charByPtr) >= maxPtrCacheEntries {
-		charByPtr = make(map[*bitvec.TruthTable]*Char)
-	}
-	charByPtr[f] = c
-	charPtrMu.Unlock()
+	c = newChar(f)
+	byWord[key] = c
 	return c
 }
 
@@ -263,33 +268,59 @@ func (c *Char) fillJoints(p, s []float64, sc *Scratch) {
 	}
 }
 
+// prefixVars is the number of leading inputs whose joint-factor
+// products PairProb tabulates once per call (4^prefixVars entries).
+const prefixVars = 3
+
 // PairProb returns P(y(t) = 1 AND y(t+T) = 1) under the Chou–Roy model
 // — the scalar double sum over on-set pairs, evaluated through the
 // precomputed joint-index codes when available.
+//
+// On the code path, the product of the first min(n, prefixVars) inputs'
+// joint factors is tabulated for every code prefix, multiplied in the
+// scalar order, so each pair costs one lookup plus the remaining
+// factors. The scalar loop stops a pair at a zero product; this one
+// does not, which keeps the scalar bits: 1.0·x = x, every factor is
+// finite, so a product that reaches zero stays ±0, and ±0 cannot change
+// a sum that starts at +0. A NaN operand is the exception (0·NaN is
+// NaN), so NaN inputs take the scalar loop.
 func (c *Char) PairProb(p, s []float64, sc *Scratch) float64 {
 	if len(p) != c.n || len(s) != c.n {
 		panic("prob: vector length mismatch")
 	}
 	c.fillJoints(p, s, sc)
 	js := sc.js
-	total := 0.0
-	if codes := c.pairTable(); codes != nil {
-		k := len(c.onset)
-		for ui := 0; ui < k; ui++ {
-			row := codes[ui*k : ui*k+k]
-			for _, code := range row {
-				prod := 1.0
-				for i := 0; i < c.n; i++ {
-					prod *= js[4*i+int(code>>uint(2*i))&3]
-					if prod == 0 {
-						break
-					}
-				}
-				total += prod
+	if codes := c.pairTable(); codes != nil && !hasNaN(p) && !hasNaN(s) {
+		m := min(c.n, prefixVars)
+		var pre [1 << (2 * prefixVars)]float64
+		pre[0] = 1
+		size := 1
+		for i := 0; i < m; i++ {
+			// Extend every prefix over inputs < i by input i's code,
+			// which sits at bits 2i: entry e + b·size is entry e times
+			// factor b. Entry e itself is overwritten last.
+			f := js[4*i : 4*i+4]
+			for e := 0; e < size; e++ {
+				v := pre[e]
+				pre[e+size] = v * f[1]
+				pre[e+2*size] = v * f[2]
+				pre[e+3*size] = v * f[3]
+				pre[e] = v * f[0]
 			}
+			size *= 4
+		}
+		mask := uint32(size - 1)
+		total := 0.0
+		for _, code := range codes {
+			prod := pre[code&mask]
+			for i := m; i < c.n; i++ {
+				prod *= js[4*i+int(code>>uint(2*i))&3]
+			}
+			total += prod
 		}
 		return total
 	}
+	total := 0.0
 	for _, u := range c.onset {
 		for _, v := range c.onset {
 			prod := 1.0
@@ -305,6 +336,16 @@ func (c *Char) PairProb(p, s []float64, sc *Scratch) float64 {
 		}
 	}
 	return total
+}
+
+// hasNaN reports whether any entry of x is NaN.
+func hasNaN(x []float64) bool {
+	for _, v := range x {
+		if v != v {
+			return true
+		}
+	}
+	return false
 }
 
 // ChouRoyActivity returns the normalized Chou–Roy switching activity

@@ -1,10 +1,15 @@
 package prob
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/bitvec"
+	"repro/internal/cuts"
 )
 
 // ---------------------------------------------------------------------
@@ -136,26 +141,31 @@ func randomTable(rng *rand.Rand, n int) *bitvec.TruthTable {
 	return tt
 }
 
-// randomPS draws p and s vectors from [0,1], forcing a healthy share of
-// exact 0/1 entries — the degenerate marginals where the joint
-// distribution collapses and the prod==0 early-out triggers.
+// randomPS draws p and s vectors shaped like waveform steps: about 40%
+// quiet inputs (s = 0), a healthy share of exact 0/1 entries — the
+// degenerate marginals where the joint distribution collapses and the
+// prod==0 early-out triggers — and an occasional NaN.
 func randomPS(rng *rand.Rand, n int) (p, s []float64) {
 	p = make([]float64, n)
 	s = make([]float64, n)
 	for i := range p {
-		switch rng.Intn(8) {
-		case 0:
+		switch r := rng.Intn(100); {
+		case r < 10:
 			p[i] = 0
-		case 1:
+		case r < 20:
 			p[i] = 1
+		case r < 22:
+			p[i] = math.NaN()
 		default:
 			p[i] = rng.Float64()
 		}
-		switch rng.Intn(8) {
-		case 0:
+		switch r := rng.Intn(100); {
+		case r < 40:
 			s[i] = 0
-		case 1:
+		case r < 48:
 			s[i] = 1
+		case r < 50:
+			s[i] = math.NaN()
 		default:
 			s[i] = rng.Float64()
 		}
@@ -164,56 +174,240 @@ func randomPS(rng *rand.Rand, n int) (p, s []float64) {
 }
 
 // TestCharMatchesScalarReference is the bit-identity property test: for
-// random truth tables (including ones past pairCodeMaxVars, covering the
-// uncached pair path) and random p/s vectors with degenerate 0/1
-// entries, every characterized estimator must return *exactly* the float
-// the scalar enumeration returned — on the first (cold) evaluation and
-// again against warm caches.
+// random truth tables of 0 to 7 variables (7 is past pairCodeMaxVars,
+// covering the uncached pair path) and random p/s vectors with quiet,
+// degenerate 0/1 and NaN entries, every characterized estimator must
+// return exactly the bits the scalar enumeration returned — on the
+// first (cold) evaluation and again against warm caches.
 func TestCharMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
-	for trial := 0; trial < 400; trial++ {
-		n := 1 + rng.Intn(6)
-		if trial%29 == 0 {
-			n = pairCodeMaxVars + 1 // pair-code fallback path
-		}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for trial := 0; trial < 20000; trial++ {
+		n := rng.Intn(pairCodeMaxVars + 2)
 		tt := randomTable(rng, n)
 		p, s := randomPS(rng, n)
 		for round := 0; round < 2; round++ {
-			if got, want := SignalProb(tt, p), refSignalProb(tt, p); got != want {
+			if got, want := SignalProb(tt, p), refSignalProb(tt, p); !same(got, want) {
 				t.Fatalf("trial %d round %d n=%d: SignalProb %v != scalar %v", trial, round, n, got, want)
 			}
-			if got, want := NajmActivity(tt, p, s), refNajmActivity(tt, p, s); got != want {
+			if got, want := NajmActivity(tt, p, s), refNajmActivity(tt, p, s); !same(got, want) {
 				t.Fatalf("trial %d round %d n=%d: NajmActivity %v != scalar %v", trial, round, n, got, want)
 			}
-			if got, want := PairProb(tt, p, s), refPairProb(tt, p, s); got != want {
-				t.Fatalf("trial %d round %d n=%d: PairProb %v != scalar %v", trial, round, n, got, want)
+			if got, want := PairProb(tt, p, s), refPairProb(tt, p, s); !same(got, want) {
+				t.Fatalf("trial %d round %d n=%d p=%v s=%v: PairProb %v != scalar %v", trial, round, n, p, s, got, want)
 			}
-			if got, want := ChouRoyActivity(tt, p, s), refChouRoyActivity(tt, p, s); got != want {
+			if got, want := ChouRoyActivity(tt, p, s), refChouRoyActivity(tt, p, s); !same(got, want) {
 				t.Fatalf("trial %d round %d n=%d: ChouRoyActivity %v != scalar %v", trial, round, n, got, want)
 			}
 		}
 	}
 }
 
+// parentPairProb is Char.PairProb as it stood before the prefix-product
+// pair sum, verbatim: the pair-table loop with its prod==0 early-out.
+func parentPairProb(c *Char, p, s []float64, sc *Scratch) float64 {
+	if len(p) != c.n || len(s) != c.n {
+		panic("prob: vector length mismatch")
+	}
+	c.fillJoints(p, s, sc)
+	js := sc.js
+	total := 0.0
+	if codes := c.pairTable(); codes != nil {
+		k := len(c.onset)
+		for ui := 0; ui < k; ui++ {
+			row := codes[ui*k : ui*k+k]
+			for _, code := range row {
+				prod := 1.0
+				for i := 0; i < c.n; i++ {
+					prod *= js[4*i+int(code>>uint(2*i))&3]
+					if prod == 0 {
+						break
+					}
+				}
+				total += prod
+			}
+		}
+		return total
+	}
+	panic("parentPairProb: no pair table")
+}
+
+// FuzzPairProb checks the prefix-product pair sum against the parent's
+// pair-table loop bit for bit. The input gives n in [0, 6], one table
+// word (bits past minterm 2^n are dropped) and 2n float64s, p then s,
+// in little-endian order (missing ones read as 0); any bit pattern is
+// allowed, NaN and ±Inf included.
+func FuzzPairProb(f *testing.F) {
+	enc := func(xs ...float64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	f.Add(uint8(0), uint64(1), []byte(nil))
+	f.Add(uint8(2), uint64(0x8), enc(0.5, 0.5, 0.5, 0.5))
+	f.Add(uint8(3), uint64(0x96), enc(0.5, 0, 1, 0.5, 0, 0.3))
+	f.Add(uint8(4), uint64(0xe8e8), enc(0.5, nan, 0.25, 1, 0, 0.5, 0.1, nan))
+	f.Add(uint8(5), uint64(0x6996_9669), enc(inf, -inf, 0.5, 1e-300, 0.7, 0.2, inf, -inf, 5e-324, 0.9))
+	f.Add(uint8(6), uint64(0xfeed_f00d_dead_beef), enc(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0, 0.5, 0, 0.5, 0))
+	f.Fuzz(func(t *testing.T, nb uint8, word uint64, data []byte) {
+		n := int(nb % (pairCodeMaxVars + 1))
+		if n < 6 {
+			word &= 1<<(1<<n) - 1
+		}
+		tt, err := bitvec.FromWords(n, []uint64{word})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]float64, 2*n)
+		for i := range vals {
+			if len(data) >= 8*(i+1) {
+				vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+			}
+		}
+		p, s := vals[:n], vals[n:]
+		c := Characterize(tt)
+		got := c.PairProb(p, s, NewScratch())
+		want := parentPairProb(c, p, s, NewScratch())
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d word=%#x p=%v s=%v: PairProb %v (%#x), parent %v (%#x)",
+				n, word, p, s, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
+}
+
 // TestCharacterizeInternsByContent checks that structurally identical
 // tables share one characterization (pointer equality == functional
-// equality, the property network-level memo keys rely on).
+// equality, the property network-level memo keys rely on) at every
+// one-word arity, whichever constructor built them, and that different
+// content — the same backing word at another arity included — gets a
+// different one.
 func TestCharacterizeInternsByContent(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a := randomTable(rng, 4)
-	b := bitvec.New(4)
-	for m := 0; m < 16; m++ {
-		b.Set(uint(m), a.Get(uint(m)))
+	seen := make(map[*Char]string)
+	for n := 0; n <= wordVars; n++ {
+		a := randomTable(rng, n)
+		b := bitvec.New(n)
+		for m := 0; m < 1<<n; m++ {
+			b.Set(uint(m), a.Get(uint(m)))
+		}
+		c := bitvec.FromFunc(n, func(m uint) bool { return a.Get(m) })
+		d, err := bitvec.FromWords(n, a.Words())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ca := Characterize(a)
+		for _, o := range []*bitvec.TruthTable{b, c, d} {
+			if o == a {
+				t.Fatal("test needs distinct table pointers")
+			}
+			co := Characterize(o)
+			if co != ca {
+				t.Fatalf("n=%d: identical tables got distinct characterizations", n)
+			}
+			if co.ID() != ca.ID() {
+				t.Fatalf("n=%d: shared characterization with distinct IDs", n)
+			}
+		}
+		key := fmt.Sprintf("n=%d %s", n, a)
+		if prev, ok := seen[ca]; ok && prev != key {
+			t.Fatalf("%s and %s share a characterization", prev, key)
+		}
+		seen[ca] = key
+		// Flip one minterm of a copy (an interned table must not
+		// change): different content, different *Char.
+		flipped := a.Clone()
+		flipped.Set(0, !a.Get(0))
+		if Characterize(flipped) == ca {
+			t.Fatalf("n=%d: different content shares a characterization", n)
+		}
 	}
-	if a == b {
-		t.Fatal("test needs distinct table pointers")
+	// The same backing word at every arity that admits it.
+	byN := make(map[*Char]int)
+	for n := 1; n <= wordVars; n++ {
+		tt, err := bitvec.FromWords(n, []uint64{0b10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := Characterize(tt)
+		if m, ok := byN[c]; ok {
+			t.Fatalf("word 0b10 at n=%d and n=%d share a characterization", m, n)
+		}
+		byN[c] = n
 	}
-	ca, cb := Characterize(a), Characterize(b)
-	if ca != cb {
-		t.Fatal("identical tables got distinct characterizations")
+	// A cut function composed by the cut enumerator: AND(a, OR(b, c))
+	// over leaves {a, b, c}, characterized like a table built directly.
+	x := cuts.Cut{Leaves: []int{2, 3}, Func: bitvec.FromFunc(2, func(m uint) bool { return m != 0 })}
+	cut, ok := cuts.Merge(bitvec.FromFunc(2, func(m uint) bool { return m == 3 }),
+		[]cuts.Cut{cuts.Trivial(1), x}, 3)
+	if !ok {
+		t.Fatal("cut merge rejected a 3-leaf union")
 	}
-	if ca.ID() != cb.ID() {
-		t.Fatal("shared characterization with distinct IDs")
+	direct := bitvec.FromFunc(3, func(m uint) bool { return m&1 != 0 && m&6 != 0 })
+	if Characterize(cut.Func) != Characterize(direct) {
+		t.Fatalf("composed cut %s and direct table %s got distinct characterizations", cut.Func, direct)
+	}
+}
+
+// TestCharacterizeConcurrentInterning characterizes the same contents
+// from 8 goroutines, each through its own fresh table pointers, and
+// requires one *Char per content (run under -race in CI).
+func TestCharacterizeConcurrentInterning(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const contents = 64
+	words := make([]uint64, contents)
+	ns := make([]int, contents)
+	for i := range words {
+		ns[i] = i % (wordVars + 1)
+		words[i] = randomTable(rng, ns[i]).Words()[0]
+	}
+	got := make([][]*Char, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = make([]*Char, contents)
+			for i := range words {
+				tt, err := bitvec.FromWords(ns[i], []uint64{words[i]})
+				if err != nil {
+					panic(err)
+				}
+				got[g][i] = Characterize(tt)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i := range words {
+		for g := range got {
+			if got[g][i] != got[0][i] {
+				t.Fatalf("content %d (n=%d, %#x): goroutines 0 and %d got distinct characterizations", i, ns[i], words[i], g)
+			}
+		}
+	}
+}
+
+// TestCharacterizeFreshPointerAllocationFree pins that a lookup of
+// known content through a table pointer never seen before renders no
+// key and allocates nothing — every cut the mapper composes is such a
+// pointer.
+func TestCharacterizeFreshPointerAllocationFree(t *testing.T) {
+	const runs = 100
+	known := randomTable(rand.New(rand.NewSource(5)), 4)
+	Characterize(known)
+	fresh := make([]*bitvec.TruthTable, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range fresh {
+		fresh[i] = known.Clone()
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		Characterize(fresh[next])
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("Characterize on a fresh pointer to known content allocates %.1f objects per call, want 0", allocs)
 	}
 }
 
