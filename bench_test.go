@@ -348,8 +348,9 @@ func prDatapath(b *testing.B) *logic.Network {
 // architectures: the K=4 CycloneII fabric vs the K=6 Stratix-like one
 // on the same netlists. Wider LUTs enumerate more cuts per node (more
 // work) but emit fewer, shallower LUTs; luts/op and depth/op record the
-// cover so a quality regression shows up alongside a speed one. CI runs
-// this once as a smoke test.
+// cover so a quality regression shows up alongside a speed one. The
+// power arms map in the SA tables' mode, the depth arms in the flow's
+// (flow.DefaultConfig's MapOpt). CI runs this once as a smoke test.
 func BenchmarkMap(b *testing.B) {
 	for _, tc := range []struct {
 		size string
@@ -359,21 +360,24 @@ func BenchmarkMap(b *testing.B) {
 		{"large", netgen.PipelinedMultiplierNetwork(12, 2)},
 	} {
 		for _, target := range []arch.Target{arch.CycloneII(), arch.StratixLike6LUT()} {
-			tc, target := tc, target
-			b.Run(fmt.Sprintf("%s/%s", tc.size, target.Name), func(b *testing.B) {
-				opt := mapper.OptionsForArch(target)
-				b.ReportAllocs()
-				var res *mapper.Result
-				for i := 0; i < b.N; i++ {
-					var err error
-					res, err = mapper.Map(tc.net, opt)
-					if err != nil {
-						b.Fatal(err)
+			for _, mode := range []mapper.Mode{mapper.ModePower, mapper.ModeDepth} {
+				tc, target, mode := tc, target, mode
+				b.Run(fmt.Sprintf("%s/%s/%v", tc.size, target.Name, mode), func(b *testing.B) {
+					opt := mapper.OptionsForArch(target)
+					opt.Mode = mode
+					b.ReportAllocs()
+					var res *mapper.Result
+					for i := 0; i < b.N; i++ {
+						var err error
+						res, err = mapper.Map(tc.net, opt)
+						if err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-				b.ReportMetric(float64(res.LUTs), "luts/op")
-				b.ReportMetric(float64(res.Depth), "depth/op")
-			})
+					b.ReportMetric(float64(res.LUTs), "luts/op")
+					b.ReportMetric(float64(res.Depth), "depth/op")
+				})
+			}
 		}
 	}
 }

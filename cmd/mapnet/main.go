@@ -4,7 +4,9 @@
 //
 // Usage:
 //
-//	mapnet [-k 4] [-mode power|depth|area] [-sim N] [-o out.blif] FILE.blif
+//	mapnet [-k 4] [-mode power|depth|area] [-sim N [-vcd out.vcd]] [-timing] [-o out.blif] FILE.blif
+//
+// Bad flags exit 2 before the netlist is read; failures exit 1.
 package main
 
 import (
@@ -35,6 +37,28 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// Usage errors exit 2 before the netlist is read.
+	opt := mapper.DefaultOptions()
+	opt.K = *k
+	if *k < mapper.MinK || *k > mapper.MaxK {
+		usageErr(fmt.Errorf("-k must be in [%d, %d], got %d", mapper.MinK, mapper.MaxK, *k))
+	}
+	switch *mode {
+	case "power":
+		opt.Mode = mapper.ModePower
+	case "depth":
+		opt.Mode = mapper.ModeDepth
+	case "area":
+		opt.Mode = mapper.ModeArea
+	default:
+		usageErr(fmt.Errorf("unknown -mode %q (want power, depth, or area)", *mode))
+	}
+	if *simN < 0 {
+		usageErr(fmt.Errorf("-sim must be >= 0, got %d", *simN))
+	}
+	if *vcd != "" && *simN == 0 {
+		usageErr(fmt.Errorf("-vcd requires -sim N with N >= 1"))
+	}
 
 	lib, err := blif.ParseFile(flag.Arg(0))
 	if err != nil {
@@ -52,18 +76,6 @@ func main() {
 		fatal(err)
 	}
 
-	opt := mapper.DefaultOptions()
-	opt.K = *k
-	switch *mode {
-	case "power":
-		opt.Mode = mapper.ModePower
-	case "depth":
-		opt.Mode = mapper.ModeDepth
-	case "area":
-		opt.Mode = mapper.ModeArea
-	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
-	}
 	res, err := mapper.Map(net, opt)
 	if err != nil {
 		fatal(err)
@@ -117,4 +129,10 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "mapnet:", err)
 	os.Exit(1)
+}
+
+// usageErr reports bad usage (exit 2).
+func usageErr(err error) {
+	fmt.Fprintln(os.Stderr, "mapnet:", err)
+	os.Exit(2)
 }
