@@ -203,9 +203,9 @@ func TestCharMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// parentPairProb is Char.PairProb as it stood before the prefix-product
+// refPairTableProb is Char.PairProb as it stood before the prefix-product
 // pair sum, verbatim: the pair-table loop with its prod==0 early-out.
-func parentPairProb(c *Char, p, s []float64, sc *Scratch) float64 {
+func refPairTableProb(c *Char, p, s []float64, sc *Scratch) float64 {
 	if len(p) != c.n || len(s) != c.n {
 		panic("prob: vector length mismatch")
 	}
@@ -229,11 +229,12 @@ func parentPairProb(c *Char, p, s []float64, sc *Scratch) float64 {
 		}
 		return total
 	}
-	panic("parentPairProb: no pair table")
+	panic("refPairTableProb: no pair table")
 }
 
-// FuzzPairProb checks the prefix-product pair sum against the parent's
-// pair-table loop bit for bit. The input gives n in [0, 6], one table
+// FuzzPairProb checks the prefix-product pair sum against the
+// pair-table loop it replaced (refPairTableProb) bit for bit. The input
+// gives n in [0, 6], one table
 // word (bits past minterm 2^n are dropped) and 2n float64s, p then s,
 // in little-endian order (missing ones read as 0); any bit pattern is
 // allowed, NaN and ±Inf included.
@@ -270,9 +271,9 @@ func FuzzPairProb(f *testing.F) {
 		p, s := vals[:n], vals[n:]
 		c := Characterize(tt)
 		got := c.PairProb(p, s, NewScratch())
-		want := parentPairProb(c, p, s, NewScratch())
+		want := refPairTableProb(c, p, s, NewScratch())
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("n=%d word=%#x p=%v s=%v: PairProb %v (%#x), parent %v (%#x)",
+			t.Fatalf("n=%d word=%#x p=%v s=%v: PairProb %v (%#x), pair-table loop %v (%#x)",
 				n, word, p, s, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	})
