@@ -322,9 +322,10 @@ func BenchmarkSim(b *testing.B) {
 	}
 }
 
-// prDatapath builds the mapped pr datapath as the flow does at its
-// default configuration, bound by LOPASS.
-func prDatapath(b *testing.B) *logic.Network {
+// prNetlist elaborates the pr datapath, bound by LOPASS, into the
+// unmapped gate netlist the flow maps at its default configuration:
+// mux trees and 3-input gates.
+func prNetlist(b *testing.B) *logic.Network {
 	b.Helper()
 	g, s, rb, swap := frontEnd(b, "pr")
 	p, _ := workload.ByName("pr")
@@ -337,7 +338,14 @@ func prDatapath(b *testing.B) *logic.Network {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := mapper.Map(d.Net, cfg.MapOpt)
+	return d.Net
+}
+
+// prDatapath maps prNetlist as the flow does at its default
+// configuration.
+func prDatapath(b *testing.B) *logic.Network {
+	b.Helper()
+	m, err := mapper.Map(prNetlist(b), flow.DefaultConfig().MapOpt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -350,7 +358,9 @@ func prDatapath(b *testing.B) *logic.Network {
 // work) but emit fewer, shallower LUTs; luts/op and depth/op record the
 // cover so a quality regression shows up alongside a speed one. The
 // power arms map in the SA tables' mode, the depth arms in the flow's
-// (flow.DefaultConfig's MapOpt). CI runs this once as a smoke test.
+// (flow.DefaultConfig's MapOpt). medium and large are multipliers; pr
+// is the flow's own netlist, the elaborated pr datapath. CI runs this
+// once as a smoke test.
 func BenchmarkMap(b *testing.B) {
 	for _, tc := range []struct {
 		size string
@@ -358,6 +368,7 @@ func BenchmarkMap(b *testing.B) {
 	}{
 		{"medium", netgen.MultiplierNetwork(8)},
 		{"large", netgen.PipelinedMultiplierNetwork(12, 2)},
+		{"pr", prNetlist(b)},
 	} {
 		for _, target := range []arch.Target{arch.CycloneII(), arch.StratixLike6LUT()} {
 			for _, mode := range []mapper.Mode{mapper.ModePower, mapper.ModeDepth} {

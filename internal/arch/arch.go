@@ -42,7 +42,8 @@ import (
 // estimator contract: prob.Char's packed pair-code tables and the
 // mapper's truth-table fast paths assume functions of at most 6
 // variables (prob.pairCodeMaxVars), so a K beyond 6 would silently fall
-// off the validated paths.
+// off the validated paths. Cut enumeration composes each cut's function
+// in one word (bitvec.WordVars) and panics past 6 leaves.
 const (
 	MinK = 2
 	MaxK = 6

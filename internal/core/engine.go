@@ -82,6 +82,7 @@ type engine struct {
 	byID     []*fuNode        // stable node id -> node (dead nodes included)
 	rows     map[int]*candRow // U-node id -> candidate row
 	heap     []admitEnt       // bounded-selection scratch
+	edges    []matching.Edge  // the round's edge list, reused across rounds
 }
 
 // testHookOnEdges, when non-nil, observes every round's assembled edge
@@ -243,10 +244,6 @@ func (e *engine) run(rep *Report) error {
 		if testHookOnEdges != nil {
 			testHookOnEdges(rep.Iterations, len(uList), len(vList), edges)
 		}
-		weightOf := make(map[[2]int]float64, len(edges))
-		for _, ed := range edges {
-			weightOf[[2]int{ed.U, ed.V}] = ed.W
-		}
 		solveStart := time.Now()
 		var match []int
 		if e.bounded {
@@ -270,7 +267,7 @@ func (e *engine) run(rep *Report) error {
 		var pairs []pair
 		for ui, vi := range match {
 			if vi >= 0 {
-				pairs = append(pairs, pair{ui, vi, weightOf[[2]int{ui, vi}]})
+				pairs = append(pairs, pair{ui, vi, e.rowWeight(uList[ui], vList[vi])})
 			}
 		}
 		sort.Slice(pairs, func(i, j int) bool {

@@ -134,7 +134,8 @@ func (e *engine) admit(u *fuNode, vList []*fuNode) []admitEnt {
 // invalidated ones), scores only fresh pairs — shapes in parallel,
 // weights serially, under the optional shape clamp — and emits the
 // round's edge list in the fixed (U order, ascending vid) order,
-// identical at every worker count.
+// identical at every worker count. The list reuses the engine's buffer
+// and is valid until the next round.
 func (e *engine) scoreEdgesSparse(uList, vList []*fuNode) (edges []matching.Edge, scored, reused int, err error) {
 	e.round++
 	for vi, v := range vList {
@@ -236,6 +237,7 @@ func (e *engine) scoreEdgesSparse(uList, vList []*fuNode) (edges []matching.Edge
 	// Emission in fixed (U order, ascending vid) order. vList is in
 	// ascending id order too, so this matches a full rescore's (U, V)
 	// edge order exactly when every compatible pair is admitted.
+	edges = e.edges[:0]
 	for ui, u := range uList {
 		row := e.rows[u.id]
 		if row == nil {
@@ -246,7 +248,20 @@ func (e *engine) scoreEdgesSparse(uList, vList []*fuNode) (edges []matching.Edge
 			edges = append(edges, matching.Edge{U: ui, V: v.vIdx, W: row.c[i].w})
 		}
 	}
+	e.edges = edges
 	return edges, scored, reused, nil
+}
+
+// rowWeight returns the scored weight of the pair (u, v) from u's
+// candidate row, which is sorted by vid. Every edge of a round comes
+// from a row, so every matched pair is in one.
+func (e *engine) rowWeight(u, v *fuNode) float64 {
+	c := e.rows[u.id].c
+	i := sort.Search(len(c), func(i int) bool { return c[i].vid >= v.id })
+	if i == len(c) || c[i].vid != v.id {
+		panic("core: matched pair missing from its candidate row")
+	}
+	return c[i].w
 }
 
 // memFootprint estimates the resident candidate-row size: entry count

@@ -10,39 +10,34 @@ package cuts
 
 import (
 	"sort"
-	"strconv"
 
 	"repro/internal/bitvec"
 	"repro/internal/logic"
 )
 
 // Cut is a K-feasible cut: sorted leaf node IDs and the function of the
-// cut's root expressed over those leaves (variable i = Leaves[i]).
+// cut's root expressed over those leaves (variable i = Leaves[i]). Func
+// may be shared with other cuts — trivial cuts share one identity
+// table, and a Scratch interns the tables it composes — so it is
+// read-only; clone it before changing it.
 type Cut struct {
 	Leaves []int
 	Func   *bitvec.TruthTable
 }
 
-// Key returns a canonical identity for deduplication.
-func (c Cut) Key() string {
-	b := make([]byte, 0, 8*len(c.Leaves))
-	for i, l := range c.Leaves {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(l), 10)
-	}
-	return string(b)
-}
+// identity is the one-variable identity table of every trivial cut.
+var identity = bitvec.Var(1, 0)
 
 // Trivial returns the trivial cut {n}: the node itself as its only leaf.
 func Trivial(n int) Cut {
-	return Cut{Leaves: []int{n}, Func: bitvec.Var(1, 0)}
+	return Cut{Leaves: []int{n}, Func: identity}
 }
 
 // Merge combines one chosen cut per fanin of a gate into a cut of the
 // gate, or reports ok = false if the union of leaves exceeds maxLeaves.
-// fn is the gate's local function over its fanins.
+// fn is the gate's local function over its fanins. It composes minterm
+// by minterm at any width; it is the reference Scratch.EnumerateNode is
+// tested against.
 func Merge(fn *bitvec.TruthTable, faninCuts []Cut, maxLeaves int) (Cut, bool) {
 	// Union the leaves.
 	var leaves []int
@@ -86,25 +81,11 @@ func Merge(fn *bitvec.TruthTable, faninCuts []Cut, maxLeaves int) (Cut, bool) {
 	return Cut{Leaves: leaves, Func: out}, true
 }
 
-// EnumerateNode produces all K-feasible cuts of a gate given the kept
-// cut sets of its fanins, by cartesian merging, deduplicated, with the
-// trivial cut appended. The caller ranks and prunes the result. This is
-// the convenience form; hot loops hold a Scratch and call its method to
-// amortize the per-node buffers.
-func EnumerateNode(nd *logic.Node, faninSets [][]Cut, k int) []Cut {
-	s := scratchPool.Get().(*Scratch)
-	res := s.EnumerateNode(nd, faninSets, k)
-	out := make([]Cut, len(res))
-	copy(out, res)
-	scratchPool.Put(s)
-	return out
-}
-
 // Enumerate computes pruned cut sets for every node of the network.
-// k bounds cut size (LUT inputs); keep bounds the number of cuts
-// retained per node; rank orders cuts before pruning (smaller is kept).
-// The trivial cut is always retained so a cover exists. A nil rank keeps
-// cuts ordered by leaf count.
+// k bounds cut size (LUT inputs, at most bitvec.WordVars); keep bounds
+// the number of cuts retained per node; rank orders cuts before pruning
+// (smaller is kept). The trivial cut is always retained so a cover
+// exists. A nil rank keeps cuts ordered by leaf count.
 func Enumerate(net *logic.Network, k, keep int, rank func(node int, a, b Cut) bool) [][]Cut {
 	if rank == nil {
 		rank = func(_ int, a, b Cut) bool { return len(a.Leaves) < len(b.Leaves) }

@@ -1,162 +1,203 @@
 package cuts
 
 import (
-	"sort"
-	"sync"
+	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/logic"
 )
 
-// Scratch holds the transient state of per-node cut enumeration —
-// dedup set, leaf-union buffer, fanin variable maps, candidate list —
-// so a mapping pass over a large network reuses one allocation set per
-// worker instead of allocating fresh maps and slices at every gate.
+// Scratch holds the transient state of per-node cut enumeration — the
+// candidate list and its leaf signatures, the fanin cuts' signatures,
+// the leaf-union buffer — and the tables it has composed, so a mapping
+// pass over a large network reuses one allocation set per worker
+// instead of allocating at every gate.
 //
 // A Scratch is not safe for concurrent use; give each worker its own.
 type Scratch struct {
-	seen   map[string]struct{}
 	out    []Cut
+	sigs   []uint64   // sigs[i] is the leaf signature of out[i]
+	fsigs  [][]uint64 // fsigs[i][j] is the signature of fanin i's cut j
 	chosen []Cut
-	union  []int
-	maps   [][]int
-	key    []byte
+	union  [bitvec.WordVars]int
+	// funcs interns composed tables by content. It lives as long as the
+	// Scratch, one Map call, so it needs no bound.
+	funcs map[funcKey]*bitvec.TruthTable
+}
+
+// funcKey is the content of a canonical table of at most
+// bitvec.WordVars variables: its variable count and its one word.
+type funcKey struct {
+	word uint64
+	n    int
 }
 
 // NewScratch returns an empty enumeration scratch.
 func NewScratch() *Scratch {
-	return &Scratch{seen: make(map[string]struct{}, 64)}
+	return &Scratch{funcs: make(map[funcKey]*bitvec.TruthTable)}
 }
 
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
+// signature sets bit leaf&63 for each leaf. One leaf sets one bit, so
+// the popcount of a leaf set's signature never exceeds its size, and
+// the signature of a union is the OR of its parts' signatures.
+func signature(leaves []int) uint64 {
+	var sig uint64
+	for _, l := range leaves {
+		sig |= 1 << (uint(l) & 63)
+	}
+	return sig
+}
 
 // EnumerateNode produces all K-feasible cuts of the gate by cartesian
-// merging of its fanins' kept cut sets, deduplicated by leaf set, with
-// the trivial cut appended — the same contract as the package-level
-// EnumerateNode, minus the per-call allocations. The returned slice and
-// its backing array are valid only until the next call on this scratch;
-// the Cuts themselves (Leaves, Func) are freshly allocated and safe to
-// retain.
+// merging of its fanins' kept cut sets, deduplicated by leaf set with
+// the first occurrence in cartesian order kept, and the trivial cut
+// appended. The caller ranks and prunes the result. The returned slice
+// and its backing array are valid only until the next call on this
+// scratch; each Cut's Leaves are freshly allocated and safe to retain,
+// and its Func is shared and read-only (see Cut).
+//
+// Functions are composed in one word, so k and the gate's fanin count
+// may not exceed bitvec.WordVars. mapper.Map guarantees both: K is in
+// [2, 6] and at least the widest gate. A call past the limit is a
+// caller bug and panics.
 func (s *Scratch) EnumerateNode(nd *logic.Node, faninSets [][]Cut, k int) []Cut {
-	s.out = s.out[:0]
-	clear(s.seen)
 	nf := len(nd.Fanins)
+	if k > bitvec.WordVars || nf > bitvec.WordVars {
+		panic(fmt.Sprintf("cuts: K=%d over a %d-input gate exceeds the %d-leaf limit of one-word composition",
+			k, nf, bitvec.WordVars))
+	}
+	s.out, s.sigs = s.out[:0], s.sigs[:0]
 	if cap(s.chosen) < nf {
 		s.chosen = make([]Cut, nf)
+		s.fsigs = make([][]uint64, nf)
 	}
-	chosen := s.chosen[:nf]
-	var rec func(i int)
-	rec = func(i int) {
-		if i == nf {
-			s.merge(nd.Func, chosen, k)
-			return
+	s.chosen, s.fsigs = s.chosen[:nf], s.fsigs[:nf]
+	for i, set := range faninSets {
+		fs := s.fsigs[i][:0]
+		for _, c := range set {
+			fs = append(fs, signature(c.Leaves))
 		}
-		for _, c := range faninSets[i] {
-			chosen[i] = c
-			rec(i + 1)
-		}
+		s.fsigs[i] = fs
 	}
 	if nf > 0 {
-		rec(0)
+		s.combine(nd.Func, faninSets, 0, 0, k)
 	}
-	s.addTrivial(nd.ID)
+	self := [1]int{nd.ID}
+	if sig := signature(self[:]); !s.has(self[:], sig) {
+		s.add(Trivial(nd.ID), sig)
+	}
 	return s.out
 }
 
-// merge unions the chosen fanin cuts' leaves, rejects oversize unions,
-// deduplicates by leaf set, and composes the cut function for first
-// occurrences only. Deduplicating BEFORE composing is result-identical
-// to the compose-then-dedup order of the original Merge/EnumerateNode
-// pair: any leaf set reached here separates the root from the sources,
-// so the root's function over those leaves is unique — two fanin-cut
-// combinations with the same leaf union always compose to the same
-// function. Skipping the duplicate compositions is where most of the
-// enumeration time on reconvergent netlists goes.
-func (s *Scratch) merge(fn *bitvec.TruthTable, faninCuts []Cut, maxLeaves int) {
-	s.union = s.union[:0]
-	for _, c := range faninCuts {
-		s.union = append(s.union, c.Leaves...)
+// combine chooses a cut of fanin i and of each later fanin, given the
+// signature sig of the leaves chosen before i, and merges every full
+// choice. It skips a cut that lifts the signature's popcount above k:
+// the popcount is a lower bound on the union's size, and later fanins
+// only add leaves, so no completion of that prefix fits either.
+func (s *Scratch) combine(fn *bitvec.TruthTable, sets [][]Cut, i int, sig uint64, k int) {
+	if i == len(sets) {
+		s.merge(fn, sig, k)
+		return
 	}
-	sort.Ints(s.union)
-	u := s.union[:0]
-	for i, l := range s.union {
-		if i == 0 || l != s.union[i-1] {
-			u = append(u, l)
+	for j, c := range sets[i] {
+		sg := sig | s.fsigs[i][j]
+		if bits.OnesCount64(sg) > k {
+			continue
 		}
+		s.chosen[i] = c
+		s.combine(fn, sets, i+1, sg, k)
 	}
-	if len(u) > maxLeaves {
-		return
-	}
-	s.key = appendLeafKey(s.key[:0], u)
-	if _, dup := s.seen[string(s.key)]; dup {
-		return
-	}
-	s.seen[string(s.key)] = struct{}{}
+}
 
-	// First occurrence: compose by direct evaluation over the union
-	// minterm space (equivalent to Expand-then-substitute, without the
-	// intermediate expanded tables).
-	for cap(s.maps) < len(faninCuts) {
-		s.maps = append(s.maps[:cap(s.maps)], nil)
+// merge unions the chosen cuts' leaves, whose signature is sig, rejects
+// a union of more than k leaves, and appends the cut of each union's
+// first occurrence only. Composing first occurrences only is exact: a
+// leaf set reached here separates the root from the sources, so the
+// root's function over it is unique — two combinations with the same
+// union always compose to the same function.
+//
+// Composition is one word wide. Fanin cut i's table, evaluated by
+// Shannon expansion at the projection words of its leaves' positions in
+// the union, is its function over the union's variables; the gate's
+// table evaluated at those words is the cut's function. The bits at and
+// above minterm 2^n are cleared so the table is canonical.
+func (s *Scratch) merge(fn *bitvec.TruthTable, sig uint64, k int) {
+	u, ok := s.unionLeaves(k)
+	if !ok || s.has(u, sig) {
+		return
 	}
-	maps := s.maps[:len(faninCuts)]
-	for i, c := range faninCuts {
-		mi := maps[i][:0]
-		for _, l := range c.Leaves {
-			mi = append(mi, indexOf(u, l))
+	var x [bitvec.WordVars]uint64
+	for i, c := range s.chosen {
+		var proj [bitvec.WordVars]uint64
+		for j, l := range c.Leaves {
+			p := 0
+			for u[p] != l {
+				p++
+			}
+			proj[j] = bitvec.VarWord(p)
 		}
-		maps[i] = mi
+		x[i] = bitvec.Shannon(c.Func.Words()[0], &proj, len(c.Leaves))
 	}
 	n := len(u)
-	out := bitvec.New(n)
-	size := 1 << n
-	for m := 0; m < size; m++ {
-		var inner uint
-		for i, c := range faninCuts {
-			var a uint
-			for j, p := range maps[i] {
-				if m&(1<<uint(p)) != 0 {
-					a |= 1 << uint(j)
-				}
+	w := bitvec.Shannon(fn.Words()[0], &x, len(s.chosen)) & bitvec.WordMask(n)
+	s.add(Cut{Leaves: slices.Clone(u), Func: s.intern(n, w)}, sig)
+}
+
+// unionLeaves inserts the chosen cuts' leaves into the sorted buffer
+// s.union and returns it, or reports false at the (k+1)-th distinct
+// leaf.
+func (s *Scratch) unionLeaves(k int) ([]int, bool) {
+	u := s.union[:0]
+	for _, c := range s.chosen {
+		for _, l := range c.Leaves {
+			i := len(u)
+			for i > 0 && u[i-1] > l {
+				i--
 			}
-			if c.Func.Get(a) {
-				inner |= 1 << uint(i)
+			if i > 0 && u[i-1] == l {
+				continue
 			}
-		}
-		if fn.Get(inner) {
-			out.Set(uint(m), true)
-		}
-	}
-	leaves := make([]int, n)
-	copy(leaves, u)
-	s.out = append(s.out, Cut{Leaves: leaves, Func: out})
-}
-
-func (s *Scratch) addTrivial(id int) {
-	s.key = appendLeafKey(s.key[:0], []int{id})
-	if _, dup := s.seen[string(s.key)]; dup {
-		return
-	}
-	s.seen[string(s.key)] = struct{}{}
-	s.out = append(s.out, Trivial(id))
-}
-
-// appendLeafKey appends a fixed-width binary encoding of the (sorted)
-// leaf IDs — injective, and cheaper than formatting decimal.
-func appendLeafKey(dst []byte, leaves []int) []byte {
-	for _, l := range leaves {
-		dst = append(dst, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
-	}
-	return dst
-}
-
-// indexOf returns the position of l in the sorted slice u. Unions are
-// at most K (<= 6) wide, so a linear scan beats binary search.
-func indexOf(u []int, l int) int {
-	for i, v := range u {
-		if v == l {
-			return i
+			if len(u) == k {
+				return nil, false
+			}
+			u = append(u, 0)
+			copy(u[i+1:], u[i:])
+			u[i] = l
 		}
 	}
-	panic("cuts: leaf missing from its own union")
+	return u, true
+}
+
+// has reports whether the candidates already hold the leaf set, whose
+// signature is sig. Signatures reject almost every other candidate
+// before its leaves are compared.
+func (s *Scratch) has(leaves []int, sig uint64) bool {
+	for i, sg := range s.sigs {
+		if sg == sig && slices.Equal(s.out[i].Leaves, leaves) {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *Scratch) add(c Cut, sig uint64) {
+	s.out = append(s.out, c)
+	s.sigs = append(s.sigs, sig)
+}
+
+// intern returns the scratch's one table of n variables with the
+// canonical word w, making it on first use.
+func (s *Scratch) intern(n int, w uint64) *bitvec.TruthTable {
+	key := funcKey{word: w, n: n}
+	if t, ok := s.funcs[key]; ok {
+		return t
+	}
+	t, err := bitvec.FromWords(n, []uint64{w})
+	if err != nil {
+		panic(err) // w is masked to n variables
+	}
+	s.funcs[key] = t
+	return t
 }

@@ -68,30 +68,26 @@ type WordSimulator struct {
 	counts Counts
 }
 
-// wordVars is the most variables a truth table held in one uint64 can
-// have. A mapped LUT has at most 6 inputs, so its table fits one word.
-const wordVars = 6
-
 // coneProgram is the latch D-cone compiled for the pre-pass. Node
 // values live in a []uint8 of 0s and 1s with one extra slot, at index
 // NumNodes, that always holds 0. Narrow op k (a gate of at most
-// wordVars inputs) writes node ids[k] with bit a of its table word
-// tts[k], where bit i of a is the value of fanin slot i; a gate with
+// bitvec.WordVars inputs) writes node ids[k] with bit a of its table
+// word tts[k], where bit i of a is the value of fanin slot i; a gate with
 // fewer inputs pads its slots with the zero slot, so the unused address
 // bits are 0. Ops run in ascending node order, which is topological.
 type coneProgram struct {
 	ids    []int32
-	fanins [][wordVars]int32
+	fanins [][bitvec.WordVars]int32
 	tts    []uint64
-	// wide lists the gates of more than wordVars inputs in program
-	// order; none occur in a mapped network.
+	// wide lists the gates of more than bitvec.WordVars inputs in
+	// program order; none occur in a mapped network.
 	wide []wideConeOp
 	// latchD is each latch's D node, indexed like Network.Latches.
 	latchD []int32
 }
 
-// wideConeOp is a cone gate of more than wordVars inputs. It runs
-// after the first at narrow ops and reads its bit from the table's
+// wideConeOp is a cone gate of more than bitvec.WordVars inputs. It
+// runs after the first at narrow ops and reads its bit from the table's
 // words.
 type wideConeOp struct {
 	at     int
@@ -141,7 +137,7 @@ func (w *WordSimulator) SetWide(n int) {
 func (p *gatePlan) evalInto(val []uint64, wdt int, out []uint64) {
 	var res [MaxWide]uint64
 	k := len(p.fanins)
-	if k > wordVars {
+	if k > bitvec.WordVars {
 		var x [bitvec.MaxVars]uint64
 		for j := 0; j < wdt; j++ {
 			for i, f := range p.fanins {
@@ -150,62 +146,30 @@ func (p *gatePlan) evalInto(val []uint64, wdt int, out []uint64) {
 			res[j] = shannonWide(p.words, x[:k])
 		}
 	} else {
-		var x [wordVars]uint64
+		var x [bitvec.WordVars]uint64
 		for j := 0; j < wdt; j++ {
 			for i, f := range p.fanins {
 				x[i] = val[f*wdt+j]
 			}
-			res[j] = shannon(p.words[0], &x, k)
+			res[j] = bitvec.Shannon(p.words[0], &x, k)
 		}
 	}
 	copy(out, res[:wdt])
 }
 
-// mux returns a where s is 0 and b where s is 1, bit by bit.
-func mux(a, b, s uint64) uint64 { return a ^ ((a ^ b) & s) }
-
-// shannon evaluates a table of k <= wordVars variables, held in the
-// word tt, over the fanin words x[:k] by Shannon expansion, without
-// data-dependent branches. Minterms 2m and 2m+1 differ only in x0, so
-// their two table bits pick leaf m from {0, ¬x0, x0, 1}; the 2^(k-1)
-// leaves then merge through x1..x(k-1): t_i is the tree of the low 2^i
-// bits of its table over x0..x(i-1).
-func shannon(tt uint64, x *[wordVars]uint64, k int) uint64 {
-	x0 := x[0]
-	pick := [4]uint64{0, ^x0, x0, ^uint64(0)}
-	t2 := func(t uint64) uint64 { return mux(pick[t&3], pick[t>>2&3], x[1]) }
-	t3 := func(t uint64) uint64 { return mux(t2(t), t2(t>>4), x[2]) }
-	t4 := func(t uint64) uint64 { return mux(t3(t), t3(t>>8), x[3]) }
-	t5 := func(t uint64) uint64 { return mux(t4(t), t4(t>>16), x[4]) }
-	switch k {
-	case 0:
-		return -(tt & 1)
-	case 1:
-		return pick[tt&3]
-	case 2:
-		return t2(tt)
-	case 3:
-		return t3(tt)
-	case 4:
-		return t4(tt)
-	case 5:
-		return t5(tt)
-	}
-	return mux(t5(tt), t5(tt>>32), x[5])
-}
-
-// shannonWide evaluates a table of more than wordVars variables: each
-// word is the sub-tree over x0..x5 for one assignment of the upper
-// variables, and muxTree combines the sub-tree results through them.
+// shannonWide evaluates a table of more than bitvec.WordVars variables:
+// each word is the sub-tree over x0..x5 for one assignment of the upper
+// variables, which bitvec.Shannon evaluates, and muxTree combines the
+// sub-tree results through them.
 func shannonWide(words []uint64, x []uint64) uint64 {
-	var buf [1 << (bitvec.MaxVars - wordVars)]uint64
+	var buf [1 << (bitvec.MaxVars - bitvec.WordVars)]uint64
 	sub := buf[:len(words)]
-	var low [wordVars]uint64
+	var low [bitvec.WordVars]uint64
 	copy(low[:], x)
 	for w, tt := range words {
-		sub[w] = shannon(tt, &low, wordVars)
+		sub[w] = bitvec.Shannon(tt, &low, bitvec.WordVars)
 	}
-	return muxTree(sub, x[wordVars:])
+	return muxTree(sub, x[bitvec.WordVars:])
 }
 
 // muxTree folds the 2^len(x) words of buf through the variables x,
@@ -214,7 +178,7 @@ func muxTree(buf, x []uint64) uint64 {
 	for _, xi := range x {
 		half := len(buf) / 2
 		for m := 0; m < half; m++ {
-			buf[m] = mux(buf[2*m], buf[2*m+1], xi)
+			buf[m] = bitvec.Mux(buf[2*m], buf[2*m+1], xi)
 		}
 		buf = buf[:half]
 	}
@@ -261,7 +225,7 @@ func (w *WordSimulator) buildConeProgram() {
 	zero := int32(w.net.NumNodes())
 	for _, id := range w.net.LatchConeGates() {
 		nd := w.net.Node(id)
-		if len(nd.Fanins) > wordVars {
+		if len(nd.Fanins) > bitvec.WordVars {
 			op := wideConeOp{at: len(p.ids), id: int32(id), words: nd.Func.Words()}
 			for _, f := range nd.Fanins {
 				op.fanins = append(op.fanins, int32(f))
@@ -269,7 +233,7 @@ func (w *WordSimulator) buildConeProgram() {
 			p.wide = append(p.wide, op)
 			continue
 		}
-		var slots [wordVars]int32
+		var slots [bitvec.WordVars]int32
 		for i := range slots {
 			slots[i] = zero
 			if i < len(nd.Fanins) {
