@@ -28,9 +28,10 @@ func Mux(a, b, s uint64) uint64 { return a ^ ((a ^ b) & s) }
 // the low 2^i bits of its table over x0..x(i-1).
 //
 // The word simulator passes one signal word per fanin, 64 clock cycles
-// in the bit lanes. The cut enumerator passes VarWord projections and
-// the tables of fanin cuts, which composes functions: the result is a
-// table over the projected variables.
+// in the bit lanes. The cut enumerator composes functions with it:
+// evaluated at VarWord projections, a table is re-indexed onto the
+// projected variables, and a gate's table evaluated at such re-indexed
+// tables is their composition.
 func Shannon(tt uint64, x *[WordVars]uint64, k int) uint64 {
 	x0 := x[0]
 	pick := [4]uint64{0, ^x0, x0, ^uint64(0)}
