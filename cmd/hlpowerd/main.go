@@ -18,8 +18,10 @@
 // /v1/ingest accepts small CDFGs inline and batches concurrent
 // submissions: arrivals within -batchwindow of each other (up to
 // -batchmax) share one admission slot, so a stream of small graphs
-// cannot exhaust admission. Identical submissions collapse in the
-// content-addressed run cache.
+// takes one slot per batch rather than one per graph. At most
+// -batchmax × -queue submissions wait; beyond that an ingest is shed
+// with 429 + Retry-After like any other request. Identical submissions
+// collapse in the content-addressed run cache.
 //
 // Every flow endpoint accepts "arch", "width", "vectors" configuration
 // overrides and "timeout_ms"; /v1/bind additionally accepts

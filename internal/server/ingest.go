@@ -21,7 +21,9 @@ import (
 // submissions under a single admission slot. Identical graphs in one
 // batch (and across batches) collapse in the session's
 // content-addressed run cache, so a stream with duplicates does the
-// expensive work once.
+// expensive work once. Waiting submissions are bounded like waiting
+// requests: with BatchMax × MaxQueue of them pending (MaxQueue full
+// batches), a new one is shed with 429 + Retry-After.
 
 // IngestOp is one operation of an inline CDFG: kind "add", "sub", or
 // "mult", args naming two prior inputs or ops.
@@ -167,10 +169,16 @@ type batcher struct {
 }
 
 // submit enqueues an item, starting a leader if none is active, and
-// waits for the item's outcome (or its context).
+// waits for the item's outcome (or its context). With the pending list
+// full it sheds the item at once.
 func (s *Server) submit(it *ingestItem) ingestOut {
 	b := &s.batch
 	b.mu.Lock()
+	if len(b.pending) >= b.max*s.opts.MaxQueue {
+		b.mu.Unlock()
+		s.shed.Add(1)
+		return ingestOut{err: errOverload}
+	}
 	b.pending = append(b.pending, it)
 	if !b.leading {
 		b.leading = true

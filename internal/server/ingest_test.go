@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/flow"
+	"repro/internal/pipeline"
 )
 
 // ingestBody builds a small valid inline-CDFG submission: two products
@@ -132,6 +135,65 @@ func TestIngestBatching(t *testing.T) {
 		if bs.Report.Mode == "" {
 			t.Fatalf("bind_stats %s/%s missing edge-store mode: %+v", bs.Bench, bs.Algo, bs.Report)
 		}
+	}
+
+	ts.Close()
+	leak()
+}
+
+// TestIngestShedsBeyondQueue: ingest submissions count against the
+// admission bound. With one slot, a one-deep queue and two submissions
+// per batch, at most two submissions may wait; a burst of eight slow
+// distinct graphs must shed the overflow with 429 + Retry-After while
+// the admitted ones complete, and /statsz must count every 429.
+func TestIngestShedsBeyondQueue(t *testing.T) {
+	leak := checkGoroutines(t)
+	fi := pipeline.NewFaultInjector(1, pipeline.FaultRule{Stage: flow.StageSim, PDelay: 1, Delay: 500 * time.Millisecond})
+	s := New(Options{Cfg: testConfig(), MaxConcurrent: 1, MaxQueue: 1, BatchMax: 2, Injector: fi})
+	ts := httptest.NewServer(s.Handler())
+
+	const n = 8
+	codes := make([]int, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/ingest", ingestBody(fmt.Sprintf("g%d", i)))
+			codes[i] = resp.StatusCode
+			if resp.StatusCode == 429 && resp.Header.Get("Retry-After") == "" {
+				t.Error("429 without Retry-After")
+			}
+		}(i)
+	}
+	wg.Wait()
+	var ok, shed int
+	for _, c := range codes {
+		switch c {
+		case 200:
+			ok++
+		case 429:
+			shed++
+		default:
+			t.Errorf("unexpected status %d", c)
+		}
+	}
+	if ok == 0 || shed == 0 {
+		t.Fatalf("codes %v: want some 200s and some 429s", codes)
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Statsz
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(st.Shed) != shed || st.Ingest.Requests != n {
+		t.Fatalf("statsz shed %d, ingest requests %d; observed %d 429s of %d", st.Shed, st.Ingest.Requests, shed, n)
 	}
 
 	ts.Close()
