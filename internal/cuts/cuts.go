@@ -2,17 +2,17 @@
 // mapping, after Cong, Wu and Ding's cut ranking and pruning [8 in the
 // paper]. A cut of node n is a set of "leaf" nodes that separates n from
 // the sources; implementing n as one K-input LUT requires a cut with at
-// most K leaves. The package provides cut merging with on-the-fly
-// function composition (so every cut carries its local function over its
-// leaves, which the glitch-aware SA evaluator consumes) and leaves
-// ranking policy to the mapper.
+// most K leaves. The package provides per-node cut enumeration with
+// on-the-fly function composition (so every cut carries its local
+// function over its leaves, which the glitch-aware SA evaluator
+// consumes) and pruning to the smallest cuts; the mapper drives both
+// node by node.
 package cuts
 
 import (
 	"sort"
 
 	"repro/internal/bitvec"
-	"repro/internal/logic"
 )
 
 // Cut is a K-feasible cut: sorted leaf node IDs and the function of the
@@ -81,40 +81,10 @@ func Merge(fn *bitvec.TruthTable, faninCuts []Cut, maxLeaves int) (Cut, bool) {
 	return Cut{Leaves: leaves, Func: out}, true
 }
 
-// Enumerate computes pruned cut sets for every node of the network.
-// k bounds cut size (LUT inputs, at most bitvec.WordVars); keep bounds
-// the number of cuts retained per node; rank orders cuts before pruning
-// (smaller is kept). The trivial cut is always retained so a cover
-// exists. A nil rank keeps cuts ordered by leaf count.
-func Enumerate(net *logic.Network, k, keep int, rank func(node int, a, b Cut) bool) [][]Cut {
-	if rank == nil {
-		rank = func(_ int, a, b Cut) bool { return len(a.Leaves) < len(b.Leaves) }
-	}
-	sets := make([][]Cut, net.NumNodes())
-	s := NewScratch()
-	var faninSets [][]Cut
-	for _, id := range net.TopoOrder() {
-		nd := net.Node(id)
-		if nd.Kind != logic.KindGate {
-			sets[id] = []Cut{Trivial(id)}
-			continue
-		}
-		faninSets = faninSets[:0]
-		for _, f := range nd.Fanins {
-			faninSets = append(faninSets, sets[f])
-		}
-		all := s.EnumerateNode(nd, faninSets, k)
-		kept := Prune(id, all, keep, rank)
-		cp := make([]Cut, len(kept))
-		copy(cp, kept)
-		sets[id] = cp
-	}
-	return sets
-}
-
-// Prune sorts cuts with rank and keeps the best `keep`, always retaining
-// the trivial cut (the single leaf equal to the node itself).
-func Prune(node int, all []Cut, keep int, rank func(node int, a, b Cut) bool) []Cut {
+// Prune orders cuts by ascending leaf count, ties in their given order,
+// and keeps the first `keep`, always retaining the trivial cut (the
+// single leaf equal to the node itself).
+func Prune(node int, all []Cut, keep int) []Cut {
 	// Stable binary-insertion sort: candidate lists are small (tens of
 	// cuts) and this runs once per gate, where sort.SliceStable's
 	// closure plumbing and reflection-based swapper allocate enough to
@@ -126,7 +96,7 @@ func Prune(node int, all []Cut, keep int, rank func(node int, a, b Cut) bool) []
 		lo, hi := 0, i
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if rank(node, c, all[mid]) {
+			if len(c.Leaves) < len(all[mid].Leaves) {
 				hi = mid
 			} else {
 				lo = mid + 1

@@ -60,7 +60,7 @@ func TestEnumerateRespectsK(t *testing.T) {
 			if k < net.Stats().MaxFanin {
 				continue // not coverable at this K
 			}
-			sets := cuts.Enumerate(net, k, 8, nil)
+			sets := cuts.EnumerateNet(net, k, 8)
 			for node, set := range sets {
 				for _, c := range set {
 					if len(c.Leaves) > k {

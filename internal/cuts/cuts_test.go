@@ -2,6 +2,7 @@ package cuts
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -83,6 +84,30 @@ func TestMergeSharedLeavesDeduplicate(t *testing.T) {
 	}
 }
 
+// EnumerateNet computes every node's pruned cut set the way the
+// mapper's forward pass does, node by node in ascending ID: a source
+// keeps its trivial cut, and a gate enumerates from its fanins' kept
+// sets and keeps the `keep` smallest. It is exported for the external
+// test package.
+func EnumerateNet(net *logic.Network, k, keep int) [][]Cut {
+	sets := make([][]Cut, net.NumNodes())
+	s := NewScratch()
+	var faninSets [][]Cut
+	for id := range sets {
+		nd := net.Node(id)
+		if nd.Kind != logic.KindGate {
+			sets[id] = []Cut{Trivial(id)}
+			continue
+		}
+		faninSets = faninSets[:0]
+		for _, f := range nd.Fanins {
+			faninSets = append(faninSets, sets[f])
+		}
+		sets[id] = slices.Clone(Prune(id, s.EnumerateNode(nd, faninSets, k), keep))
+	}
+	return sets
+}
+
 func TestEnumerateFullAdder(t *testing.T) {
 	net := logic.NewNetwork("fa")
 	a := net.AddInput("a")
@@ -91,7 +116,7 @@ func TestEnumerateFullAdder(t *testing.T) {
 	sum := net.AddGate("sum", logic.TTXor3(), a, b, cin)
 	net.MarkOutput("s", sum)
 
-	sets := Enumerate(net, 4, 8, nil)
+	sets := EnumerateNet(net, 4, 8)
 	// The sum gate must own a 3-leaf cut over the PIs plus its trivial cut.
 	found3 := false
 	for _, c := range sets[sum] {
@@ -111,7 +136,7 @@ func TestEnumerateCutFunctionsMatchNetwork(t *testing.T) {
 	// Every enumerated cut's function, evaluated on the leaves' simulated
 	// values, must equal the node's simulated value.
 	net := netgen.AdderNetwork(4)
-	sets := Enumerate(net, 4, 6, nil)
+	sets := EnumerateNet(net, 4, 6)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
 		in := make([]bool, len(net.Inputs))
@@ -137,7 +162,7 @@ func TestEnumerateCutFunctionsMatchNetwork(t *testing.T) {
 
 func TestEnumerateKeepsTrivialUnderPruning(t *testing.T) {
 	net := netgen.MultiplierNetwork(4)
-	sets := Enumerate(net, 4, 2, nil)
+	sets := EnumerateNet(net, 4, 2)
 	for id, cs := range sets {
 		hasTrivial := false
 		for _, c := range cs {
@@ -154,28 +179,20 @@ func TestEnumerateKeepsTrivialUnderPruning(t *testing.T) {
 	}
 }
 
+// TestPruneKeepLimit checks the kept sets' size bound and their order:
+// ascending leaf count, apart from a trivial cut re-added last.
 func TestPruneKeepLimit(t *testing.T) {
 	net := netgen.MultiplierNetwork(5)
 	for _, keep := range []int{1, 3, 8} {
-		sets := Enumerate(net, 4, keep, nil)
+		sets := EnumerateNet(net, 4, keep)
 		for id, cs := range sets {
 			if len(cs) > keep+1 { // +1 for a re-added trivial cut
 				t.Fatalf("node %d: kept %d cuts with keep=%d", id, len(cs), keep)
 			}
-		}
-	}
-}
-
-func TestCustomRankOrdersCuts(t *testing.T) {
-	net := netgen.AdderNetwork(3)
-	// Rank by descending leaf count: widest first.
-	sets := Enumerate(net, 4, 4, func(_ int, a, b Cut) bool {
-		return len(a.Leaves) > len(b.Leaves)
-	})
-	for _, cs := range sets {
-		for i := 1; i < len(cs)-1; i++ { // last may be re-added trivial
-			if len(cs[i].Leaves) > len(cs[i-1].Leaves) {
-				t.Fatalf("rank not respected: %v after %v", cs[i].Leaves, cs[i-1].Leaves)
+			for i := 1; i < min(len(cs), keep); i++ {
+				if len(cs[i].Leaves) < len(cs[i-1].Leaves) {
+					t.Fatalf("node %d keep=%d: %v kept after %v", id, keep, cs[i].Leaves, cs[i-1].Leaves)
+				}
 			}
 		}
 	}
@@ -185,6 +202,6 @@ func BenchmarkEnumerateMult8(b *testing.B) {
 	net := netgen.MultiplierNetwork(8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = Enumerate(net, 4, 6, nil)
+		_ = EnumerateNet(net, 4, 6)
 	}
 }

@@ -100,9 +100,7 @@ func TestScratchMatchesReferenceEnumeration(t *testing.T) {
 				}
 				// Seed the next node's fanin sets with the reference (pruned)
 				// result so both paths see identical inputs throughout.
-				refSets[id] = Prune(id, want, 6, func(_ int, a, b Cut) bool {
-					return len(a.Leaves) < len(b.Leaves)
-				})
+				refSets[id] = Prune(id, want, 6)
 			}
 		}
 	}

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/logic"
-	"repro/internal/par"
 	"repro/internal/prob"
 )
 
@@ -90,30 +89,21 @@ func (w Waveform) GlitchActivity() float64 {
 // without bound; past the cap it is simply dropped and rebuilt.
 const maxMemoEntries = 1 << 16
 
-// srcWave is one cached source waveform (see Estimator.sourceWave).
-type srcWave struct {
-	p, s float64
-	w    Waveform
-}
-
 // Estimator carries the reusable scratch and memoization state for
 // repeated waveform propagation. A fresh zero-cost instance comes from
-// NewEstimator; one estimator is NOT safe for concurrent use (the
-// package-level Propagate/EstimateNetwork functions draw from a pool
-// and are).
+// NewEstimator; one estimator is NOT safe for concurrent use
+// (EstimateNetwork draws one from a pool and is).
 //
 // Waveforms returned by an estimator share their Comps slices with its
 // internal memo — callers must treat them as read-only, which every
 // consumer in this repository already does.
 type Estimator struct {
-	p, s  []float64 // settled fanin probabilities / per-step activities
-	pos   []int     // k-way merge cursor per fanin
-	ins   []Waveform
-	kbuf  []byte
-	sc    *prob.Scratch
-	memo  map[string]Waveform
-	srcs  []srcWave
-	waves []Waveform // reusable node-indexed output buffer
+	p, s []float64 // settled fanin probabilities / per-step activities
+	pos  []int     // k-way merge cursor per fanin
+	ins  []Waveform
+	kbuf []byte
+	sc   *prob.Scratch
+	memo map[string]Waveform
 }
 
 // NewEstimator returns an empty estimator.
@@ -121,7 +111,7 @@ func NewEstimator() *Estimator {
 	return &Estimator{sc: prob.NewScratch(), memo: make(map[string]Waveform)}
 }
 
-// estPool backs the package-level entry points.
+// estPool backs EstimateNetwork.
 var estPool = sync.Pool{New: func() any { return NewEstimator() }}
 
 // growVecs sizes the per-fanin scratch for n inputs.
@@ -241,143 +231,39 @@ func (e *Estimator) compute(c *prob.Char, ins []Waveform) Waveform {
 	return out
 }
 
-// sourceWave returns the (cached) waveform of a combinational source.
-// A network presents at most a couple of distinct (p, s) source pairs,
-// so a tiny linear cache removes the per-source allocation.
-func (e *Estimator) sourceWave(p, s float64) Waveform {
-	for _, sw := range e.srcs {
-		if sw.p == p && sw.s == s {
-			return sw.w
-		}
-	}
-	w := SourceWaveform(p, s)
-	e.srcs = append(e.srcs, srcWave{p: p, s: s, w: w})
-	return w
-}
-
-// Propagate is the package-level convenience wrapper over a pooled
-// Estimator; see Estimator.Propagate. The returned waveform's Comps
-// must be treated as read-only.
-func Propagate(f *bitvec.TruthTable, ins []Waveform) Waveform {
-	e := estPool.Get().(*Estimator)
-	w := e.Propagate(f, ins)
-	estPool.Put(e)
-	return w
-}
-
 // Estimate holds a waveform per network node.
 type Estimate struct {
 	Waves []Waveform
 }
 
 // EstimateNetwork propagates waveforms through every gate of the
-// network under the unit-delay model, reusing the estimator's buffers:
-// warm calls allocate nothing. The returned estimate shares the
-// estimator's node-indexed buffer and is valid until the next
-// EstimateNetwork call on the same estimator. Sources follow src
-// (paper: P = s = 0.5).
-func (e *Estimator) EstimateNetwork(net *logic.Network, src prob.SourceValues) Estimate {
-	nn := net.NumNodes()
-	if cap(e.waves) < nn {
-		e.waves = make([]Waveform, nn)
-	} else {
-		e.waves = e.waves[:nn]
-		for i := range e.waves {
-			e.waves[i] = Waveform{}
-		}
-	}
-	waves := e.waves
+// network under the unit-delay model on a pooled estimator. Sources
+// follow src (paper: P = s = 0.5). Waveform Comps are read-only shared
+// storage.
+func EstimateNetwork(net *logic.Network, src prob.SourceValues) Estimate {
+	e := estPool.Get().(*Estimator)
+	defer estPool.Put(e)
+	input := SourceWaveform(src.InputP, src.InputS)
+	latch := SourceWaveform(src.LatchP, src.LatchS)
+	waves := make([]Waveform, net.NumNodes())
 	// Ascending node IDs are topological (Network.TopoOrder is the
-	// identity permutation); iterating directly keeps the warm path
-	// allocation-free.
-	for id := 0; id < nn; id++ {
+	// identity permutation).
+	for id := range waves {
 		nd := net.Node(id)
 		switch nd.Kind {
 		case logic.KindInput:
-			waves[id] = e.sourceWave(src.InputP, src.InputS)
+			waves[id] = input
 		case logic.KindLatchOut:
-			waves[id] = e.sourceWave(src.LatchP, src.LatchS)
+			waves[id] = latch
 		case logic.KindConst:
 			waves[id] = ConstWaveform(nd.ConstVal)
 		case logic.KindGate:
-			n := len(nd.Fanins)
-			if cap(e.ins) < n {
-				e.ins = make([]Waveform, n)
-			}
-			ins := e.ins[:n]
-			for i, fid := range nd.Fanins {
-				ins[i] = waves[fid]
-			}
-			waves[id] = e.propagate(prob.Characterize(nd.Func), ins)
-		}
-	}
-	return Estimate{Waves: waves}
-}
-
-// EstimateNetwork is the package-level wrapper: it runs a pooled
-// estimator and detaches the per-node slice so the result outlives the
-// estimator's reuse. Waveform Comps remain read-only shared storage.
-func EstimateNetwork(net *logic.Network, src prob.SourceValues) Estimate {
-	e := estPool.Get().(*Estimator)
-	res := e.EstimateNetwork(net, src)
-	waves := make([]Waveform, len(res.Waves))
-	copy(waves, res.Waves)
-	estPool.Put(e)
-	return Estimate{Waves: waves}
-}
-
-// EstimateNetworkJobs is EstimateNetwork with the per-gate propagation
-// fanned out over a worker pool, level by level. Within a level every
-// gate's waveform is a pure function of lower-level waveforms (each
-// worker's estimator memo is exact — a hit returns precisely what
-// recomputation would), and all writes are slot-indexed, so the result
-// is bit-identical to the serial estimator at any worker count.
-// jobs <= 1 falls back to the serial path.
-func EstimateNetworkJobs(net *logic.Network, src prob.SourceValues, jobs int) Estimate {
-	nn := net.NumNodes()
-	if jobs <= 1 || nn == 0 {
-		return EstimateNetwork(net, src)
-	}
-	waves := make([]Waveform, nn)
-	levels := net.Levels()
-	maxLvl := 0
-	for _, l := range levels {
-		if l > maxLvl {
-			maxLvl = l
-		}
-	}
-	byLevel := make([][]int32, maxLvl+1)
-	for id := 0; id < nn; id++ {
-		if net.Node(id).Kind == logic.KindGate {
-			byLevel[levels[id]] = append(byLevel[levels[id]], int32(id))
-		}
-	}
-	// Sources are cheap; fill them serially.
-	for id := 0; id < nn; id++ {
-		switch nd := net.Node(id); nd.Kind {
-		case logic.KindInput:
-			waves[id] = SourceWaveform(src.InputP, src.InputS)
-		case logic.KindLatchOut:
-			waves[id] = SourceWaveform(src.LatchP, src.LatchS)
-		case logic.KindConst:
-			waves[id] = ConstWaveform(nd.ConstVal)
-		}
-	}
-	workers := make([]*Estimator, jobs)
-	ins := make([][]Waveform, jobs)
-	for i := range workers {
-		workers[i] = NewEstimator()
-	}
-	for _, ids := range byLevel {
-		par.For(len(ids), jobs, func(w, i int) {
-			nd := net.Node(int(ids[i]))
-			in := ins[w][:0]
+			e.ins = e.ins[:0]
 			for _, f := range nd.Fanins {
-				in = append(in, waves[f])
+				e.ins = append(e.ins, waves[f])
 			}
-			waves[nd.ID] = workers[w].propagate(prob.Characterize(nd.Func), in)
-			ins[w] = in
-		})
+			waves[id] = e.propagate(prob.Characterize(nd.Func), e.ins)
+		}
 	}
 	return Estimate{Waves: waves}
 }

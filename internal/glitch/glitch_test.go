@@ -34,7 +34,7 @@ func TestPropagateBalancedInputsNoGlitch(t *testing.T) {
 	// Two inputs both switching at time 0: the XOR output can only
 	// switch at time 1 — a single functional transition, no glitches.
 	ins := []Waveform{SourceWaveform(0.5, 0.5), SourceWaveform(0.5, 0.5)}
-	out := Propagate(logic.TTXor2(), ins)
+	out := NewEstimator().Propagate(logic.TTXor2(), ins)
 	if out.Settle() != 1 {
 		t.Fatalf("settle = %d, want 1", out.Settle())
 	}
@@ -53,7 +53,7 @@ func TestPropagateUnbalancedInputsGlitch(t *testing.T) {
 	// paper's mux balancing targets.
 	late := Waveform{P: 0.5, Comps: []Component{{Time: 3, S: 0.5}}}
 	ins := []Waveform{SourceWaveform(0.5, 0.5), late}
-	out := Propagate(logic.TTXor2(), ins)
+	out := NewEstimator().Propagate(logic.TTXor2(), ins)
 	if out.Settle() != 4 {
 		t.Fatalf("settle = %d, want 4", out.Settle())
 	}
@@ -72,7 +72,7 @@ func TestPropagateUnbalancedInputsGlitch(t *testing.T) {
 func TestPropagateConstInputsKillActivity(t *testing.T) {
 	// AND with a constant 0 never switches.
 	ins := []Waveform{SourceWaveform(0.5, 0.5), ConstWaveform(false)}
-	out := Propagate(logic.TTAnd2(), ins)
+	out := NewEstimator().Propagate(logic.TTAnd2(), ins)
 	if out.Total() != 0 {
 		t.Fatalf("AND with const 0 should be static, got %+v", out)
 	}
@@ -99,8 +99,8 @@ func TestPropagateTotalMatchesZeroDelayForSingleLevel(t *testing.T) {
 			ins[i] = SourceWaveform(0.5, 0.5)
 			p[i], s[i] = 0.5, 0.5
 		}
-		timed := Propagate(tt, ins).Total()
-		flat := prob.ChouRoyActivity(tt, p, s)
+		timed := NewEstimator().Propagate(tt, ins).Total()
+		flat := prob.Characterize(tt).ChouRoyActivity(p, s, prob.NewScratch())
 		if !almost(timed, flat, 1e-12) {
 			t.Fatalf("%s: timed %v != flat %v", name, timed, flat)
 		}

@@ -2,10 +2,12 @@ package glitch
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/bitvec"
+	"repro/internal/logic"
 	"repro/internal/netgen"
 	"repro/internal/prob"
 )
@@ -24,7 +26,7 @@ func refPropagate(f *bitvec.TruthTable, ins []Waveform) Waveform {
 	for i, w := range ins {
 		p[i] = w.P
 	}
-	out := Waveform{P: prob.SignalProb(f, p)}
+	out := Waveform{P: prob.Characterize(f).SignalProb(p, prob.NewScratch())}
 
 	var times []int
 	seen := make(map[int]bool)
@@ -52,7 +54,7 @@ func refPropagate(f *bitvec.TruthTable, ins []Waveform) Waveform {
 				}
 			}
 		}
-		a := prob.ChouRoyActivity(f, p, s)
+		a := prob.Characterize(f).ChouRoyActivity(p, s, prob.NewScratch())
 		if a > 0 {
 			out.Comps = append(out.Comps, Component{Time: t + 1, S: a})
 		}
@@ -89,8 +91,7 @@ func randomWaveform(rng *rand.Rand) Waveform {
 // TestPropagateMatchesScalarReference: for random functions and random
 // fanin waveforms, the merged propagation must emit exactly the scalar
 // rescan's components — same times, bit-identical activities — through
-// both the package-level wrapper and a reused Estimator, cold and from
-// the memo.
+// a reused Estimator, cold and from the memo.
 func TestPropagateMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	est := NewEstimator()
@@ -118,43 +119,50 @@ func TestPropagateMatchesScalarReference(t *testing.T) {
 		want := refPropagate(tt, ins)
 		check(trial, "cold", est.Propagate(tt, ins), want)
 		check(trial, "memo", est.Propagate(tt, ins), want)
-		check(trial, "pooled", Propagate(tt, ins), want)
 	}
 }
 
-// TestEstimateNetworkWarmPathAllocationFree pins the rewrite's headline
-// property: once an Estimator has seen a network, re-estimating it
-// allocates nothing — every waveform comes from the memo, every buffer
-// is reused.
-func TestEstimateNetworkWarmPathAllocationFree(t *testing.T) {
-	e := NewEstimator()
-	net := netgen.MultiplierNetwork(6)
-	src := prob.DefaultSources()
-	e.EstimateNetwork(net, src) // populate memo, caches, buffers
-	allocs := testing.AllocsPerRun(50, func() {
-		e.EstimateNetwork(net, src)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm EstimateNetwork allocates %.1f objects per call, want 0", allocs)
-	}
-}
-
-// TestEstimatorReuseAcrossNetworks checks that one estimator instance
-// (as pooled by the package-level wrappers) gives the same answers as
-// fresh per-network estimation.
+// TestEstimatorReuseAcrossNetworks checks that the pooled estimator
+// behind EstimateNetwork, its memo warm from other networks, gives
+// bit-identical waveforms to a fresh estimator propagating each gate
+// from its fanins' waveforms.
 func TestEstimatorReuseAcrossNetworks(t *testing.T) {
-	a := netgen.AdderNetwork(6)
-	m := netgen.MultiplierNetwork(4)
 	src := prob.DefaultSources()
-	wantA := EstimateNetwork(a, src).TotalActivity(a)
-	wantM := EstimateNetwork(m, src).TotalActivity(m)
-	e := NewEstimator()
-	for round := 0; round < 3; round++ {
-		if got := e.EstimateNetwork(a, src).TotalActivity(a); got != wantA {
-			t.Fatalf("round %d: adder activity %v != %v", round, got, wantA)
+	fresh := func(net *logic.Network) []Waveform {
+		e := NewEstimator()
+		waves := make([]Waveform, net.NumNodes())
+		for id := range waves {
+			switch nd := net.Node(id); nd.Kind {
+			case logic.KindInput:
+				waves[id] = SourceWaveform(src.InputP, src.InputS)
+			case logic.KindLatchOut:
+				waves[id] = SourceWaveform(src.LatchP, src.LatchS)
+			case logic.KindConst:
+				waves[id] = ConstWaveform(nd.ConstVal)
+			case logic.KindGate:
+				ins := make([]Waveform, len(nd.Fanins))
+				for i, f := range nd.Fanins {
+					ins[i] = waves[f]
+				}
+				waves[id] = e.Propagate(nd.Func, ins)
+			}
 		}
-		if got := e.EstimateNetwork(m, src).TotalActivity(m); got != wantM {
-			t.Fatalf("round %d: multiplier activity %v != %v", round, got, wantM)
+		return waves
+	}
+	nets := []*logic.Network{netgen.AdderNetwork(6), netgen.MultiplierNetwork(4)}
+	wants := make([][]Waveform, len(nets))
+	for i, net := range nets {
+		wants[i] = fresh(net)
+	}
+	for round := 0; round < 3; round++ {
+		for i, net := range nets {
+			got := EstimateNetwork(net, src).Waves
+			for id, want := range wants[i] {
+				if !reflect.DeepEqual(got[id], want) {
+					t.Fatalf("round %d net %s node %d: %+v, fresh estimator %+v",
+						round, net.Name, id, got[id], want)
+				}
+			}
 		}
 	}
 }

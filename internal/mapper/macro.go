@@ -52,10 +52,10 @@ type MacroCover struct {
 	// Waves and Flows hold the canonical covering's selected waveform
 	// and area-flow per gate, computed under canonical source
 	// assumptions. Stitching reuses them for every instance instead of
-	// re-propagating waveforms gate by gate; they only steer downstream
-	// glue tie-breaks, so canonical values trade a sliver of estimator
-	// fidelity at macro boundaries for skipping the dominant per-
-	// instance cost.
+	// re-propagating waveforms gate by gate, so they steer only the cut
+	// selection of glue that reads macro gates; the cover's SA does not
+	// read them, because extraction propagates every needed macro gate
+	// again from the instance's own leaf waveforms.
 	Waves []glitch.Waveform
 	Flows []float64
 }
@@ -372,11 +372,12 @@ func coverFits(cover *MacroCover, inst macroInstance) bool {
 // evaluated from the instance's real leaf states (they drive the
 // depth-mode objective downstream); waveforms and flows are the
 // canonical covering's, copied from the cover — glue consumers use
-// them only for flow tie-breaks, and copying skips a per-gate waveform
-// propagation per instance, which dominated stitch cost. Macro gates
-// publish only their trivial cut to glue enumeration — the macro
-// boundary is a cut barrier, which is what keeps the cover independent
-// of the surrounding context.
+// them for cut selection, extractCover propagates the needed macro
+// gates again for the cover's SA, and copying skips a per-gate
+// waveform propagation per instance, which dominated stitch cost.
+// Macro gates publish only their trivial cut to glue enumeration — the
+// macro boundary is a cut barrier, which is what keeps the cover
+// independent of the surrounding context.
 func stitchMacro(inst macroInstance, cover *MacroCover, states []nodeState, sets [][]cuts.Cut) {
 	m := inst.m
 	// One backing array for all translated leaf slices of the instance.

@@ -286,7 +286,7 @@ func mapNet(net *logic.Network, opt Options, macroMinGates int) (*Result, error)
 		return nil, err
 	}
 
-	res, err := extractCover(net, states, opt)
+	res, err := extractCover(net, states, instances)
 	if err != nil {
 		return nil, err
 	}
@@ -420,9 +420,7 @@ func mapGate(net *logic.Network, id int, states []nodeState, sets [][]cuts.Cut, 
 	st := nodeState{best: candidates[bestIdx], wave: bestWave, arrival: bestArr, flow: bestFlow}
 	// Prune the candidate set for consumers upstream, then detach it
 	// from the scratch's reused backing array.
-	kept := cuts.Prune(id, candidates, keep, func(_ int, a, b cuts.Cut) bool {
-		return len(a.Leaves) < len(b.Leaves)
-	})
+	kept := cuts.Prune(id, candidates, keep)
 	cp := make([]cuts.Cut, len(kept))
 	copy(cp, kept)
 	states[id] = st
@@ -563,9 +561,18 @@ func better(mode Mode, flow float64, arr, leaves, i int, bFlow float64, bArr, bL
 
 // extractCover walks backward from the roots (primary outputs and latch
 // D inputs), instantiating one LUT per needed node, then rebuilds a
-// LUT-level logic.Network and evaluates the cover's SA.
-func extractCover(net *logic.Network, states []nodeState, opt Options) (*Result, error) {
-	needed := make([]bool, net.NumNodes())
+// LUT-level logic.Network and sums the cover's SA (paper Eq. 3) over
+// its LUTs in gate order. The forward pass propagated each selected cut
+// from its function and its leaves' published waveforms, which is what
+// the mapped network computes, so its waveform is exact. The exceptions
+// are the stitched macro gates, which carry the canonical cover's
+// waveform, and every LUT downstream of one: the walk propagates those
+// again from their leaves' final waveforms, in the same ascending-ID
+// order, so the sums are bit-identical to glitch.EstimateNetwork over
+// the mapped network.
+func extractCover(net *logic.Network, states []nodeState, instances []macroInstance) (*Result, error) {
+	n := net.NumNodes()
+	needed := make([]bool, n)
 	var need func(int)
 	need = func(id int) {
 		if needed[id] {
@@ -586,9 +593,17 @@ func extractCover(net *logic.Network, states []nodeState, opt Options) (*Result,
 	for _, q := range net.Latches {
 		need(net.Node(q).LatchInput)
 	}
+	// again marks the nodes whose published waveform is not their final
+	// one: stitched macro gates, then each LUT propagated again below.
+	again := make([]bool, n)
+	for _, inst := range instances {
+		for id := inst.m.Lo; id < inst.m.Hi; id++ {
+			again[id] = true
+		}
+	}
 
 	mapped := logic.NewNetwork(net.Name + "_mapped")
-	nodeMap := make([]int, net.NumNodes())
+	nodeMap := make([]int, n)
 	for i := range nodeMap {
 		nodeMap[i] = -1
 	}
@@ -605,12 +620,18 @@ func extractCover(net *logic.Network, states []nodeState, opt Options) (*Result,
 			nodeMap[nd.ID] = mapped.AddConst(nd.Name, nd.ConstVal)
 		}
 	}
-	luts := 0
+	est := glitch.NewEstimator()
+	var (
+		ins         []glitch.Waveform
+		luts        int
+		sa, glitchy float64
+	)
 	for _, nd := range net.Nodes {
 		if nd.Kind != logic.KindGate || !needed[nd.ID] {
 			continue
 		}
-		c := states[nd.ID].best
+		st := &states[nd.ID]
+		c := st.best
 		fanins := make([]int, len(c.Leaves))
 		for i, l := range c.Leaves {
 			if nodeMap[l] < 0 {
@@ -620,7 +641,17 @@ func extractCover(net *logic.Network, states []nodeState, opt Options) (*Result,
 				}
 			}
 			fanins[i] = nodeMap[l]
+			again[nd.ID] = again[nd.ID] || again[l]
 		}
+		if again[nd.ID] {
+			ins = ins[:0]
+			for _, l := range c.Leaves {
+				ins = append(ins, states[l].wave)
+			}
+			st.wave = est.Propagate(c.Func, ins)
+		}
+		sa += st.wave.Total()
+		glitchy += st.wave.GlitchActivity()
 		nodeMap[nd.ID] = mapped.AddGate(lutName(net, nd.ID), c.Func.Clone(), fanins...)
 		luts++
 	}
@@ -634,15 +665,13 @@ func extractCover(net *logic.Network, states []nodeState, opt Options) (*Result,
 	if err := mapped.Check(); err != nil {
 		return nil, fmt.Errorf("mapper: produced invalid network: %w", err)
 	}
-
-	est := glitch.EstimateNetworkJobs(mapped, prob.DefaultSources(), opt.Jobs)
 	return &Result{
 		Mapped:    mapped,
 		NodeMap:   nodeMap,
 		LUTs:      luts,
 		Depth:     mapped.Depth(),
-		EstSA:     est.TotalActivity(mapped),
-		EstGlitch: est.TotalGlitch(mapped),
+		EstSA:     sa,
+		EstGlitch: glitchy,
 	}, nil
 }
 

@@ -2,11 +2,15 @@ package mapper
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/glitch"
 	"repro/internal/logic"
 	"repro/internal/netgen"
+	"repro/internal/prob"
 )
 
 // assertEquivalent checks functional equivalence of the original and
@@ -240,6 +244,88 @@ func TestMapEstimatesDecompose(t *testing.T) {
 	if res.EstSA <= 0 || res.EstGlitch < 0 || res.EstGlitch > res.EstSA {
 		t.Fatalf("inconsistent SA estimates: total=%v glitch=%v", res.EstSA, res.EstGlitch)
 	}
+}
+
+// chainedMacroNet feeds tagged W-bit adder and multiplier macros from
+// tagged 3-input mux trees, so those macros read fanins whose
+// waveforms switch after time 0, unlike the source waveforms their
+// canonical covers are computed under; untagged XOR gates then read
+// the macros' outputs.
+func chainedMacroNet(w int) *logic.Network {
+	net := logic.NewNetwork(fmt.Sprintf("chained_w%d", w))
+	port := func(side string) []int {
+		sel := []int{net.AddInput(side + "s0"), net.AddInput(side + "s1")}
+		data := make([][]int, 3)
+		for i := range data {
+			for b := 0; b < w; b++ {
+				data[i] = append(data[i], net.AddInput(fmt.Sprintf("%s%d_%d", side, i, b)))
+			}
+		}
+		return netgen.BuildMux(net, side+"mux_", sel, data)
+	}
+	l, r := port("L"), port("R")
+	sum := netgen.BuildAdderArch(net, netgen.AdderRipple, "add_", l, r)
+	prod := netgen.BuildMultArch(net, netgen.MultArray, "mult_", l, sum)
+	for i, id := range prod {
+		x := net.AddGate("", logic.TTXor2(), id, sum[i%w])
+		net.MarkOutput(fmt.Sprintf("P%d", i), x)
+	}
+	return net
+}
+
+// TestEstimateMatchesMappedNetwork checks that the cover's SA, summed
+// from the forward pass's waveforms with stitched macro gates and their
+// downstream LUTs propagated again, equals glitch.EstimateNetwork over
+// the mapped network to the bit, in every mode, at K 4 and 6, flat and
+// with macro covering forced on, serial and level-parallel.
+func TestEstimateMatchesMappedNetwork(t *testing.T) {
+	var nets []*logic.Network
+	for seed := int64(0); seed < 20; seed++ {
+		nets = append(nets, formalNet(seed))
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		nets = append(nets, randomNet(seed))
+	}
+	nets = append(nets,
+		netgen.MuxNetwork(6, 8), netgen.MuxNetwork(8, 8),
+		netgen.AdderNetwork(8),
+		netgen.MultiplierNetwork(5), netgen.MultiplierNetwork(8),
+		netgen.PartialDatapathNetwork(netgen.FUAdd, 3, 2, 8),
+		netgen.PartialDatapathNetwork(netgen.FUMult, 2, 3, 8),
+		chainedMacroNet(4),
+	)
+	src := prob.DefaultSources()
+	mappings, stitched := 0, 0
+	for ni, net := range nets {
+		for _, k := range []int{4, 6} {
+			for _, mode := range []Mode{ModePower, ModeDepth, ModeArea} {
+				for _, minGates := range []int{DefaultMacroMinGates, 0} {
+					for _, jobs := range []int{1, 3} {
+						opt := Options{K: k, Mode: mode, Jobs: jobs}
+						res, err := mapNet(net, opt, minGates)
+						if err != nil {
+							t.Fatalf("net %d K=%d %v macro threshold %d jobs %d: %v", ni, k, mode, minGates, jobs, err)
+						}
+						est := glitch.EstimateNetwork(res.Mapped, src)
+						wantSA, wantGlitch := est.TotalActivity(res.Mapped), est.TotalGlitch(res.Mapped)
+						if math.Float64bits(res.EstSA) != math.Float64bits(wantSA) ||
+							math.Float64bits(res.EstGlitch) != math.Float64bits(wantGlitch) {
+							t.Fatalf("net %d (%s) K=%d %v macro threshold %d jobs %d: EstSA %v EstGlitch %v, mapped network estimates %v %v",
+								ni, net.Name, k, mode, minGates, jobs, res.EstSA, res.EstGlitch, wantSA, wantGlitch)
+						}
+						mappings++
+						if res.MacroInstances > 0 {
+							stitched++
+						}
+					}
+				}
+			}
+		}
+	}
+	if stitched == 0 {
+		t.Fatalf("none of %d mappings stitched a macro cover", mappings)
+	}
+	t.Logf("%d mappings, %d with stitched macro covers", mappings, stitched)
 }
 
 func BenchmarkMapMult8Power(b *testing.B) {

@@ -8,10 +8,9 @@ import (
 )
 
 // This file implements the vectorized estimator core: a per-truth-table
-// precomputed characterization (Char) that the package-level estimation
-// functions and the glitch package evaluate against, instead of
-// re-enumerating 2^n minterms and re-deriving BooleanDiff tables on
-// every call.
+// precomputed characterization (Char) that EstimateNetwork and the
+// glitch package evaluate against, instead of re-enumerating 2^n
+// minterms and re-deriving BooleanDiff tables on every call.
 //
 // A Char caches three things:
 //
@@ -65,15 +64,11 @@ type Char struct {
 // charSeq allocates Char identities.
 var charSeq atomic.Uint64
 
-// wordVars is the widest function whose truth table is one backing
-// word.
-const wordVars = 6
-
-// byWord interns the characterizations of functions of at most wordVars
-// variables, keyed by (variable count, the table's one backing word).
-// Tables are canonical (no bits set past minterm 2^n), so equal keys
-// mean equal functions; n = 0 is a valid table too. A repeat lookup
-// takes the read lock only and allocates nothing.
+// byWord interns the characterizations of functions of at most
+// bitvec.WordVars variables, keyed by (variable count, the table's one
+// backing word). Tables are canonical (no bits set past minterm 2^n),
+// so equal keys mean equal functions; n = 0 is a valid table too. A
+// repeat lookup takes the read lock only and allocates nothing.
 var (
 	byWordMu sync.RWMutex
 	byWord   = make(map[[2]uint64]*Char)
@@ -100,7 +95,7 @@ func internKey(f *bitvec.TruthTable) string {
 // computing the same function of the same arity share one *Char, so
 // pointer equality on the result is functional equality.
 func Characterize(f *bitvec.TruthTable) *Char {
-	if f.NumVars() > wordVars {
+	if f.NumVars() > bitvec.WordVars {
 		key := internKey(f)
 		if v, loaded := interns.Load(key); loaded {
 			return v.(*Char)
@@ -203,10 +198,6 @@ func growF(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// scratchPool backs the historical package-level entry points so they
-// stay allocation-light without changing signature.
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
-
 // SignalProb returns P(f = 1) for the characterized function given
 // independent input probabilities p — same summation order as the
 // scalar enumeration, restricted to the cached on-set.
@@ -232,8 +223,9 @@ func (c *Char) SignalProb(p []float64, sc *Scratch) float64 {
 }
 
 // NajmActivity returns the transition density under Najm's model
-// (Eq. 1), evaluated against the cached per-variable difference
-// characterizations.
+// (Eq. 1), s(y) = sum_i P(df/dx_i) * s(x_i), evaluated against the
+// cached per-variable difference characterizations. It ignores
+// simultaneous switching and so overestimates activity for wide gates.
 func (c *Char) NajmActivity(p, s []float64, sc *Scratch) float64 {
 	if len(p) != c.n || len(s) != c.n {
 		panic("prob: vector length mismatch")
@@ -272,9 +264,11 @@ func (c *Char) fillJoints(p, s []float64, sc *Scratch) {
 // products PairProb tabulates once per call (4^prefixVars entries).
 const prefixVars = 3
 
-// PairProb returns P(y(t) = 1 AND y(t+T) = 1) under the Chou–Roy model
-// — the scalar double sum over on-set pairs, evaluated through the
-// precomputed joint-index codes when available.
+// PairProb returns P(y(t) = 1 AND y(t+T) = 1) under the Chou–Roy model,
+// where input i is a two-state process with marginal p[i] and
+// transition probability s[i] per unit period, independent across
+// inputs — the scalar double sum over on-set pairs, evaluated through
+// the precomputed joint-index codes when available.
 //
 // On the code path, the product of the first min(n, prefixVars) inputs'
 // joint factors is tabulated for every code prefix, multiplied in the

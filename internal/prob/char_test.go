@@ -187,16 +187,16 @@ func TestCharMatchesScalarReference(t *testing.T) {
 		tt := randomTable(rng, n)
 		p, s := randomPS(rng, n)
 		for round := 0; round < 2; round++ {
-			if got, want := SignalProb(tt, p), refSignalProb(tt, p); !same(got, want) {
+			if got, want := Characterize(tt).SignalProb(p, NewScratch()), refSignalProb(tt, p); !same(got, want) {
 				t.Fatalf("trial %d round %d n=%d: SignalProb %v != scalar %v", trial, round, n, got, want)
 			}
-			if got, want := NajmActivity(tt, p, s), refNajmActivity(tt, p, s); !same(got, want) {
+			if got, want := Characterize(tt).NajmActivity(p, s, NewScratch()), refNajmActivity(tt, p, s); !same(got, want) {
 				t.Fatalf("trial %d round %d n=%d: NajmActivity %v != scalar %v", trial, round, n, got, want)
 			}
-			if got, want := PairProb(tt, p, s), refPairProb(tt, p, s); !same(got, want) {
+			if got, want := Characterize(tt).PairProb(p, s, NewScratch()), refPairProb(tt, p, s); !same(got, want) {
 				t.Fatalf("trial %d round %d n=%d p=%v s=%v: PairProb %v != scalar %v", trial, round, n, p, s, got, want)
 			}
-			if got, want := ChouRoyActivity(tt, p, s), refChouRoyActivity(tt, p, s); !same(got, want) {
+			if got, want := Characterize(tt).ChouRoyActivity(p, s, NewScratch()), refChouRoyActivity(tt, p, s); !same(got, want) {
 				t.Fatalf("trial %d round %d n=%d: ChouRoyActivity %v != scalar %v", trial, round, n, got, want)
 			}
 		}
@@ -288,7 +288,7 @@ func FuzzPairProb(f *testing.F) {
 func TestCharacterizeInternsByContent(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	seen := make(map[*Char]string)
-	for n := 0; n <= wordVars; n++ {
+	for n := 0; n <= bitvec.WordVars; n++ {
 		a := randomTable(rng, n)
 		b := bitvec.New(n)
 		for m := 0; m < 1<<n; m++ {
@@ -327,7 +327,7 @@ func TestCharacterizeInternsByContent(t *testing.T) {
 	}
 	// The same backing word at every arity that admits it.
 	byN := make(map[*Char]int)
-	for n := 1; n <= wordVars; n++ {
+	for n := 1; n <= bitvec.WordVars; n++ {
 		tt, err := bitvec.FromWords(n, []uint64{0b10})
 		if err != nil {
 			t.Fatal(err)
@@ -361,7 +361,7 @@ func TestCharacterizeConcurrentInterning(t *testing.T) {
 	words := make([]uint64, contents)
 	ns := make([]int, contents)
 	for i := range words {
-		ns[i] = i % (wordVars + 1)
+		ns[i] = i % (bitvec.WordVars + 1)
 		words[i] = randomTable(rng, ns[i]).Words()[0]
 	}
 	got := make([][]*Char, 8)

@@ -12,29 +12,6 @@
 // dimension on top.
 package prob
 
-import (
-	"repro/internal/bitvec"
-)
-
-// SignalProb returns P(f = 1) given independent input probabilities p,
-// by exact enumeration of the on-set.
-func SignalProb(f *bitvec.TruthTable, p []float64) float64 {
-	sc := scratchPool.Get().(*Scratch)
-	v := Characterize(f).SignalProb(p, sc)
-	scratchPool.Put(sc)
-	return v
-}
-
-// NajmActivity returns the transition density of f under Najm's model
-// (paper Eq. 1): s(y) = sum_i P(df/dx_i) * s(x_i). It ignores
-// simultaneous switching and so overestimates activity for wide gates.
-func NajmActivity(f *bitvec.TruthTable, p, s []float64) float64 {
-	sc := scratchPool.Get().(*Scratch)
-	v := Characterize(f).NajmActivity(p, s, sc)
-	scratchPool.Put(sc)
-	return v
-}
-
 // clamp01 forces a propagated probability back into [0,1]. SignalProb
 // sums products of independent marginals, so rounding can overshoot the
 // unit interval by an ulp or two.
@@ -70,24 +47,4 @@ func minf(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// PairProb returns P(y(t) = 1 AND y(t+T) = 1) under the Chou–Roy model:
-// each input i is a two-state process with marginal p[i] and transition
-// probability s[i] per unit period, independent across inputs.
-func PairProb(f *bitvec.TruthTable, p, s []float64) float64 {
-	sc := scratchPool.Get().(*Scratch)
-	v := Characterize(f).PairProb(p, s, sc)
-	scratchPool.Put(sc)
-	return v
-}
-
-// ChouRoyActivity returns the normalized switching activity of f under
-// the Chou–Roy simultaneous-switching model (paper Eq. 2):
-// s(y) = 2 (P(y) − P(y(t) y(t+T))).
-func ChouRoyActivity(f *bitvec.TruthTable, p, s []float64) float64 {
-	sc := scratchPool.Get().(*Scratch)
-	v := Characterize(f).ChouRoyActivity(p, s, sc)
-	scratchPool.Put(sc)
-	return v
 }

@@ -19,17 +19,17 @@ func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func TestSignalProbBasicGates(t *testing.T) {
 	p := []float64{0.5, 0.5}
-	if got := SignalProb(and2(), p); !almost(got, 0.25, 1e-12) {
+	if got := Characterize(and2()).SignalProb(p, NewScratch()); !almost(got, 0.25, 1e-12) {
 		t.Fatalf("P(and) = %v, want 0.25", got)
 	}
-	if got := SignalProb(or2(), p); !almost(got, 0.75, 1e-12) {
+	if got := Characterize(or2()).SignalProb(p, NewScratch()); !almost(got, 0.75, 1e-12) {
 		t.Fatalf("P(or) = %v, want 0.75", got)
 	}
-	if got := SignalProb(xor2(), p); !almost(got, 0.5, 1e-12) {
+	if got := Characterize(xor2()).SignalProb(p, NewScratch()); !almost(got, 0.5, 1e-12) {
 		t.Fatalf("P(xor) = %v, want 0.5", got)
 	}
 	// Biased inputs: P(a AND b) = pa*pb.
-	if got := SignalProb(and2(), []float64{0.3, 0.9}); !almost(got, 0.27, 1e-12) {
+	if got := Characterize(and2()).SignalProb([]float64{0.3, 0.9}, NewScratch()); !almost(got, 0.27, 1e-12) {
 		t.Fatalf("P(and biased) = %v, want 0.27", got)
 	}
 }
@@ -37,7 +37,7 @@ func TestSignalProbBasicGates(t *testing.T) {
 func TestNajmActivityXorSumsInputs(t *testing.T) {
 	// For XOR every Boolean difference is the constant 1, so Najm's
 	// formula yields s(a)+s(b) (the known overestimate).
-	got := NajmActivity(xor2(), []float64{0.5, 0.5}, []float64{0.5, 0.5})
+	got := Characterize(xor2()).NajmActivity([]float64{0.5, 0.5}, []float64{0.5, 0.5}, NewScratch())
 	if !almost(got, 1.0, 1e-12) {
 		t.Fatalf("Najm xor activity = %v, want 1.0", got)
 	}
@@ -46,11 +46,11 @@ func TestNajmActivityXorSumsInputs(t *testing.T) {
 func TestChouRoyXorAccountsForSimultaneousSwitching(t *testing.T) {
 	// Exact for independent inputs: output toggles iff exactly one input
 	// toggles: s = s_a(1-s_b) + s_b(1-s_a) = 0.5 at s=0.5 each.
-	got := ChouRoyActivity(xor2(), []float64{0.5, 0.5}, []float64{0.5, 0.5})
+	got := Characterize(xor2()).ChouRoyActivity([]float64{0.5, 0.5}, []float64{0.5, 0.5}, NewScratch())
 	if !almost(got, 0.5, 1e-12) {
 		t.Fatalf("ChouRoy xor activity = %v, want 0.5", got)
 	}
-	najm := NajmActivity(xor2(), []float64{0.5, 0.5}, []float64{0.5, 0.5})
+	najm := Characterize(xor2()).NajmActivity([]float64{0.5, 0.5}, []float64{0.5, 0.5}, NewScratch())
 	if got >= najm {
 		t.Fatalf("ChouRoy (%v) should be below Najm (%v) for xor", got, najm)
 	}
@@ -58,7 +58,7 @@ func TestChouRoyXorAccountsForSimultaneousSwitching(t *testing.T) {
 
 func TestChouRoyAndGateExact(t *testing.T) {
 	// Monte Carlo reference for AND with p=0.5, s=0.5 inputs.
-	got := ChouRoyActivity(and2(), []float64{0.5, 0.5}, []float64{0.5, 0.5})
+	got := Characterize(and2()).ChouRoyActivity([]float64{0.5, 0.5}, []float64{0.5, 0.5}, NewScratch())
 	ref := monteCarloActivity(t, and2(), []float64{0.5, 0.5}, []float64{0.5, 0.5}, 200000, 11)
 	if !almost(got, ref, 0.01) {
 		t.Fatalf("ChouRoy and activity = %v, Monte Carlo = %v", got, ref)
@@ -127,7 +127,7 @@ func TestChouRoyMatchesMonteCarloOnRandomFunctions(t *testing.T) {
 			p[i] = 0.2 + 0.6*rng.Float64()
 			s[i] = 0.5 * math.Min(p[i], 1-p[i]) * 2 * rng.Float64()
 		}
-		got := ChouRoyActivity(f, p, s)
+		got := Characterize(f).ChouRoyActivity(p, s, NewScratch())
 		ref := monteCarloActivity(t, f, p, s, 300000, int64(trial+100))
 		if !almost(got, ref, 0.015) {
 			t.Fatalf("trial %d (f=%s): ChouRoy %v vs MC %v", trial, f, got, ref)
@@ -151,8 +151,8 @@ func TestPairProbBounds(t *testing.T) {
 			p[i] = rng.Float64()
 			s[i] = rng.Float64()
 		}
-		pp := PairProb(tt, p, s)
-		py := SignalProb(tt, p)
+		pp := Characterize(tt).PairProb(p, s, NewScratch())
+		py := Characterize(tt).SignalProb(p, NewScratch())
 		// 0 <= P(y(t)y(t+T)) <= P(y).
 		return pp >= -1e-9 && pp <= py+1e-9
 	}
@@ -177,7 +177,7 @@ func TestActivityNonNegativeAndBounded(t *testing.T) {
 			p[i] = rng.Float64()
 			s[i] = rng.Float64()
 		}
-		a := ChouRoyActivity(tt, p, s)
+		a := Characterize(tt).ChouRoyActivity(p, s, NewScratch())
 		return a >= 0 && a <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -190,17 +190,17 @@ func TestConstantFunctionNeverSwitches(t *testing.T) {
 		tt := bitvec.Const(3, v)
 		p := []float64{0.5, 0.5, 0.5}
 		s := []float64{0.5, 0.5, 0.5}
-		if a := ChouRoyActivity(tt, p, s); a != 0 {
+		if a := Characterize(tt).ChouRoyActivity(p, s, NewScratch()); a != 0 {
 			t.Fatalf("constant %v: activity %v, want 0", v, a)
 		}
-		if a := NajmActivity(tt, p, s); a != 0 {
+		if a := Characterize(tt).NajmActivity(p, s, NewScratch()); a != 0 {
 			t.Fatalf("constant %v: Najm activity %v, want 0", v, a)
 		}
 	}
 }
 
 func TestStaticInputsMeanNoSwitching(t *testing.T) {
-	a := ChouRoyActivity(and2(), []float64{0.5, 0.5}, []float64{0, 0})
+	a := Characterize(and2()).ChouRoyActivity([]float64{0.5, 0.5}, []float64{0, 0}, NewScratch())
 	if a != 0 {
 		t.Fatalf("no input switching should give 0, got %v", a)
 	}
