@@ -123,9 +123,9 @@ func TestPropagateMatchesScalarReference(t *testing.T) {
 }
 
 // TestEstimatorReuseAcrossNetworks checks that the pooled estimator
-// behind EstimateNetwork, its memo warm from other networks, gives
-// bit-identical waveforms to a fresh estimator propagating each gate
-// from its fanins' waveforms.
+// behind EstimateNetwork, its memo warm from other networks, gives the
+// same waveforms as a fresh estimator propagating each gate from its
+// fanins' waveforms.
 func TestEstimatorReuseAcrossNetworks(t *testing.T) {
 	src := prob.DefaultSources()
 	fresh := func(net *logic.Network) []Waveform {
