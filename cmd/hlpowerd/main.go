@@ -15,19 +15,16 @@
 //	GET  /healthz       liveness ("ok", or 503 "draining")
 //	GET  /statsz        admission/cache/store/ingest counters as JSON
 //
-// /v1/ingest accepts small CDFGs inline and batches concurrent
-// submissions: arrivals within -batchwindow of each other (up to
-// -batchmax) share one admission slot, so a stream of small graphs
-// takes one slot per batch rather than one per graph. At most
-// -batchmax × -queue submissions wait; beyond that an ingest is shed
-// with 429 + Retry-After like any other request. Identical submissions
-// collapse in the content-addressed run cache.
+// /v1/ingest accepts small CDFGs inline; identical submissions collapse
+// in the content-addressed run cache, so each distinct graph is bound
+// once.
 //
 // Every flow endpoint accepts "arch", "width", "vectors" configuration
 // overrides and "timeout_ms"; /v1/bind additionally accepts
-// "stream":true for NDJSON per-stage progress. Concurrency is bounded:
-// -maxconcurrent requests execute at once, -queue more may wait, and
-// anything beyond that is shed with 429 + Retry-After.
+// "stream":true for NDJSON per-stage progress. All four flow endpoints
+// share one admission bound: -maxconcurrent requests execute at once,
+// -queue more may wait, and anything beyond that is shed with 429 +
+// Retry-After.
 //
 // With -store DIR the daemon persists simulation counts, power reports,
 // SA-table entries, and whole run results to DIR (atomic writes,
@@ -72,8 +69,6 @@ func main() {
 		reqTO    = flag.Duration("reqtimeout", 2*time.Minute, "default per-request deadline")
 		maxTO    = flag.Duration("maxtimeout", 10*time.Minute, "cap on client-requested deadlines")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown wait for in-flight requests")
-		batchWin = flag.Duration("batchwindow", 25*time.Millisecond, "ingest batch accumulation window")
-		batchMax = flag.Int("batchmax", 16, "max ingest submissions per batch")
 		inject   = flag.String("inject", "", "arm the fault injector (hlpower -inject syntax, plus class/pshortwrite/pchecksumflip/penospc disk faults)")
 	)
 	flag.Parse()
@@ -83,6 +78,12 @@ func main() {
 	}
 	if *vectors < 1 {
 		usageErr(fmt.Errorf("-vectors must be >= 1, got %d", *vectors))
+	}
+	if *maxConc < 0 || *queue < 0 || *storeMax < 0 {
+		usageErr(fmt.Errorf("-maxconcurrent (%d), -queue (%d) and -storemax (%d) must be >= 0", *maxConc, *queue, *storeMax))
+	}
+	if *reqTO <= 0 || *maxTO <= 0 || *drain <= 0 {
+		usageErr(fmt.Errorf("-reqtimeout (%v), -maxtimeout (%v) and -drain (%v) must be > 0", *reqTO, *maxTO, *drain))
 	}
 
 	target, ok := arch.ByName(*archName)
@@ -139,8 +140,6 @@ func main() {
 		MaxTimeout:     *maxTO,
 		DrainTimeout:   *drain,
 		Jobs:           *jobs,
-		BatchWindow:    *batchWin,
-		BatchMax:       *batchMax,
 		Injector:       fi,
 		Logf:           logger.Printf,
 	})

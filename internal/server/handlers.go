@@ -219,18 +219,11 @@ func (s *Server) handleBind(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	se, err := s.session(req.configOverrides)
+	se, ctx, done, err := s.admit(r, req.configOverrides, req.TimeoutMS)
 	if err != nil {
 		return err
 	}
-	ctx, cancel := s.reqContext(r, req.TimeoutMS)
-	defer cancel()
-	release, err := s.acquire(ctx)
-	if err != nil {
-		return err
-	}
-	defer release()
-	s.requests.Add(1)
+	defer done()
 
 	_, warm := se.Peek(p, b)
 	if warm {
@@ -332,18 +325,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 		}
 		binders = flow.AlphaBinders(req.Alphas)
 	}
-	se, err := s.session(req.configOverrides)
+	se, ctx, done, err := s.admit(r, req.configOverrides, req.TimeoutMS)
 	if err != nil {
 		return err
 	}
-	ctx, cancel := s.reqContext(r, req.TimeoutMS)
-	defer cancel()
-	release, err := s.acquire(ctx)
-	if err != nil {
-		return err
-	}
-	defer release()
-	s.requests.Add(1)
+	defer done()
 
 	start := time.Now()
 	rep, err := se.Sweep(ctx, flow.SweepOptions{Binders: binders, KeepGoing: req.KeepGoing})
@@ -409,18 +395,11 @@ func (s *Server) handleArchSweep(w http.ResponseWriter, r *http.Request) error {
 			targets = append(targets, t)
 		}
 	}
-	se, err := s.session(req.configOverrides)
+	se, ctx, done, err := s.admit(r, req.configOverrides, req.TimeoutMS)
 	if err != nil {
 		return err
 	}
-	ctx, cancel := s.reqContext(r, req.TimeoutMS)
-	defer cancel()
-	release, err := s.acquire(ctx)
-	if err != nil {
-		return err
-	}
-	defer release()
-	s.requests.Add(1)
+	defer done()
 
 	start := time.Now()
 	rows, err := flow.ArchSweepData(ctx, se, targets)
@@ -462,9 +441,9 @@ type Statsz struct {
 	Stages map[string]pipeline.Stats `json:"stages"`
 	Store  *store.Stats              `json:"store,omitempty"`
 
-	// Ingest reports the streaming-ingestion batcher: batches < requests
-	// under concurrent load means submissions actually shared admission
-	// slots.
+	// Ingest counts /v1/ingest submissions. Each is admitted on its own
+	// like every flow request, so an admitted one also counts in
+	// Requests and a shed one in Shed.
 	Ingest IngestStatsz `json:"ingest"`
 	// BindStats surfaces the binding engine's per-binding reports —
 	// including the edge-store mode and memory accounting — for every
@@ -473,11 +452,12 @@ type Statsz struct {
 	BindStats []flow.BindStat `json:"bind_stats,omitempty"`
 }
 
-// IngestStatsz is the /statsz ingest section.
+// IngestStatsz is the /statsz ingest section. Requests counts the
+// submissions with a valid graph and binder, shed ones included;
+// Batches counts the admitted ones (each submission is its own batch).
 type IngestStatsz struct {
 	Requests int64 `json:"requests"`
 	Batches  int64 `json:"batches"`
-	MaxBatch int64 `json:"max_batch"`
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) error {
@@ -495,8 +475,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) error {
 		Stages:   s.base.StageStats(),
 		Ingest: IngestStatsz{
 			Requests: s.ingestRequests.Load(),
-			Batches:  s.ingestBatches.Load(),
-			MaxBatch: s.ingestMaxBatch.Load(),
+			Batches:  s.ingestAdmitted.Load(),
 		},
 	}
 	st.BindStats = s.base.BindStats()

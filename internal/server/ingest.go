@@ -1,29 +1,22 @@
 package server
 
 import (
-	"context"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/cdfg"
-	"repro/internal/flow"
 )
 
 // Streaming ingestion: POST /v1/ingest accepts one small CDFG per
 // request, described inline as JSON, and binds it through the shared
 // flow session. The scenario is many small graphs arriving
-// continuously — an HLS front end emitting kernels as it lowers them —
-// where admitting every request individually would burn an admission
-// slot (and a queue position) per tiny graph. Requests are therefore
-// batched: the first arrival becomes the batch leader, waits
-// BatchWindow for peers to accumulate, then processes up to BatchMax
-// submissions under a single admission slot. Identical graphs in one
-// batch (and across batches) collapse in the session's
-// content-addressed run cache, so a stream with duplicates does the
-// expensive work once. Waiting submissions are bounded like waiting
-// requests: with BatchMax × MaxQueue of them pending (MaxQueue full
-// batches), a new one is shed with 429 + Retry-After.
+// continuously — an HLS front end emitting kernels as it lowers them.
+// Each submission is admitted like every other flow request (admit):
+// it takes an execution slot or waits in the bounded queue, and is shed
+// with 429 + Retry-After when the queue is full. Binding results are
+// per graph, so submissions need no grouping: identical graphs, whether
+// concurrent or repeated, collapse in the session's content-addressed
+// run cache, so a stream with duplicates does the expensive work once.
 
 // IngestOp is one operation of an inline CDFG: kind "add", "sub", or
 // "mult", args naming two prior inputs or ops.
@@ -51,17 +44,14 @@ type IngestRequest struct {
 	RC      IngestRC   `json:"rc"`
 	Binder  string     `json:"binder,omitempty"` // "hlpower" (default) or "lopass"
 	Alpha   *float64   `json:"alpha,omitempty"`
-	// TimeoutMS bounds this submission end to end, including the batch
-	// wait (0 = server default).
+	// TimeoutMS bounds this submission end to end, including the
+	// admission wait (0 = server default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
 // IngestResult is the ingest endpoint's response payload.
 type IngestResult struct {
-	Name string `json:"name"`
-	// Batch is the number of submissions the request's batch carried —
-	// >1 means the request shared its admission slot with peers.
-	Batch     int     `json:"batch"`
+	Name      string  `json:"name"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 	PowerMW   float64 `json:"power_mw"`
 	LUTs      int     `json:"luts"`
@@ -139,113 +129,6 @@ func buildIngestGraph(req *IngestRequest) (*cdfg.Graph, error) {
 	return g, nil
 }
 
-// ingestItem is one submission waiting in the batcher.
-type ingestItem struct {
-	g    *cdfg.Graph
-	rc   cdfg.ResourceConstraint
-	b    flow.Binder
-	se   *flow.Session
-	ctx  context.Context
-	done chan ingestOut // buffered(1): the leader never blocks on delivery
-}
-
-type ingestOut struct {
-	res   *flow.Result
-	batch int
-	err   error
-}
-
-// batcher accumulates ingest submissions and elects the first submitter
-// of an idle batcher as leader. The leader loops: sleep one window,
-// take up to max pending submissions, process them as one batch, repeat
-// until the queue drains, then abdicate.
-type batcher struct {
-	window time.Duration
-	max    int
-
-	mu      sync.Mutex
-	pending []*ingestItem
-	leading bool
-}
-
-// submit enqueues an item, starting a leader if none is active, and
-// waits for the item's outcome (or its context). With the pending list
-// full it sheds the item at once.
-func (s *Server) submit(it *ingestItem) ingestOut {
-	b := &s.batch
-	b.mu.Lock()
-	if len(b.pending) >= b.max*s.opts.MaxQueue {
-		b.mu.Unlock()
-		s.shed.Add(1)
-		return ingestOut{err: errOverload}
-	}
-	b.pending = append(b.pending, it)
-	if !b.leading {
-		b.leading = true
-		go s.lead()
-	}
-	b.mu.Unlock()
-	select {
-	case out := <-it.done:
-		return out
-	case <-it.ctx.Done():
-		// The leader may still process the item; its buffered done send
-		// is simply dropped.
-		return ingestOut{err: it.ctx.Err()}
-	}
-}
-
-// lead is the batch-leader loop.
-func (s *Server) lead() {
-	b := &s.batch
-	for {
-		time.Sleep(b.window)
-		b.mu.Lock()
-		n := len(b.pending)
-		if n == 0 {
-			b.leading = false
-			b.mu.Unlock()
-			return
-		}
-		if n > b.max {
-			n = b.max
-		}
-		batch := b.pending[:n:n]
-		b.pending = append([]*ingestItem(nil), b.pending[n:]...)
-		b.mu.Unlock()
-		s.processBatch(batch)
-	}
-}
-
-// processBatch runs one batch under a single admission slot.
-func (s *Server) processBatch(items []*ingestItem) {
-	s.ingestBatches.Add(1)
-	for {
-		cur := s.ingestMaxBatch.Load()
-		if int64(len(items)) <= cur || s.ingestMaxBatch.CompareAndSwap(cur, int64(len(items))) {
-			break
-		}
-	}
-	release, err := s.acquire(context.Background())
-	if err != nil {
-		// Queue full: the whole batch sheds as one unit.
-		for _, it := range items {
-			it.done <- ingestOut{err: err, batch: len(items)}
-		}
-		return
-	}
-	defer release()
-	s.requests.Add(1)
-	for _, it := range items {
-		if it.ctx.Err() != nil {
-			it.done <- ingestOut{err: it.ctx.Err(), batch: len(items)}
-			continue
-		}
-		res, err := it.se.RunGraphCtx(it.ctx, it.g, it.g.Name, it.rc, it.b)
-		it.done <- ingestOut{res: res, batch: len(items), err: err}
-	}
-}
-
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	var req IngestRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -259,33 +142,27 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	se, err := s.session(req.configOverrides)
+	s.ingestRequests.Add(1)
+	se, ctx, done, err := s.admit(r, req.configOverrides, req.TimeoutMS)
 	if err != nil {
 		return err
 	}
-	ctx, cancel := s.reqContext(r, req.TimeoutMS)
-	defer cancel()
-	s.ingestRequests.Add(1)
+	defer done()
+	s.ingestAdmitted.Add(1)
 
 	start := time.Now()
-	out := s.submit(&ingestItem{
-		g: g, rc: cdfg.ResourceConstraint{Add: req.RC.Add, Mult: req.RC.Mult},
-		b: b, se: se, ctx: ctx,
-		done: make(chan ingestOut, 1),
-	})
-	if out.err != nil {
-		return out.err
+	res, err := se.RunGraphCtx(ctx, g, g.Name, cdfg.ResourceConstraint{Add: req.RC.Add, Mult: req.RC.Mult}, b)
+	if err != nil {
+		return err
 	}
-	res := IngestResult{
+	writeJSON(w, http.StatusOK, IngestResult{
 		Name:      req.Name,
-		Batch:     out.batch,
 		ElapsedMS: float64(time.Since(start).Nanoseconds()) / 1e6,
-		PowerMW:   out.res.Power.DynamicPowerMW,
-		LUTs:      out.res.LUTs,
-		Depth:     out.res.Depth,
-		MuxLen:    out.res.FUMux.Length,
-		Regs:      out.res.NumRegs,
-	}
-	writeJSON(w, http.StatusOK, res)
+		PowerMW:   res.Power.DynamicPowerMW,
+		LUTs:      res.LUTs,
+		Depth:     res.Depth,
+		MuxLen:    res.FUMux.Length,
+		Regs:      res.NumRegs,
+	})
 	return nil
 }

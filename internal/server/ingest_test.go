@@ -6,10 +6,8 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/flow"
-	"repro/internal/pipeline"
 )
 
 // ingestBody builds a small valid inline-CDFG submission: two products
@@ -33,7 +31,7 @@ func ingestBody(name string) string {
 // numbers), then walks the malformed-spec space.
 func TestIngestSingleAndErrors(t *testing.T) {
 	leak, fds := checkGoroutines(t), checkFDs(t)
-	s := New(Options{Cfg: testConfig(), BatchWindow: time.Millisecond})
+	s := New(Options{Cfg: testConfig()})
 	ts := httptest.NewServer(s.Handler())
 
 	var ir IngestResult
@@ -41,7 +39,7 @@ func TestIngestSingleAndErrors(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("ingest: %d %s", resp.StatusCode, body)
 	}
-	if err := json.Unmarshal(body, &ir); err != nil || ir.PowerMW <= 0 || ir.Batch < 1 {
+	if err := json.Unmarshal(body, &ir); err != nil || ir.PowerMW <= 0 {
 		t.Fatalf("ingest body %s (err %v)", body, err)
 	}
 	first := ir
@@ -81,12 +79,14 @@ func TestIngestSingleAndErrors(t *testing.T) {
 	leak()
 }
 
-// TestIngestBatching is the streaming scenario: concurrent submissions
-// inside one batch window must share admission slots — /statsz reports
-// fewer batches than requests and a max batch above one.
-func TestIngestBatching(t *testing.T) {
+// TestIngestIdenticalComputedOnce is the streaming scenario with
+// duplicates: six concurrent identical submissions are each admitted on
+// their own, and the content-addressed run cache computes their
+// binding once.
+func TestIngestIdenticalComputedOnce(t *testing.T) {
 	leak := checkGoroutines(t)
-	s := New(Options{Cfg: testConfig(), BatchWindow: 300 * time.Millisecond})
+	// Two slots and eight queue places admit all six even on one CPU.
+	s := New(Options{Cfg: testConfig(), MaxConcurrent: 2, MaxQueue: 8})
 	ts := httptest.NewServer(s.Handler())
 
 	const n = 6
@@ -96,7 +96,7 @@ func TestIngestBatching(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/ingest", ingestBody(fmt.Sprintf("g%d", i)))
+			resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/ingest", ingestBody("g"))
 			if resp.StatusCode != 200 {
 				errs[i] = fmt.Sprintf("status %d: %s", resp.StatusCode, body)
 			}
@@ -119,14 +119,11 @@ func TestIngestBatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Ingest.Requests != n {
-		t.Fatalf("ingest requests = %d, want %d", st.Ingest.Requests, n)
+	if st.Requests != n || st.Ingest.Requests != n || st.Ingest.Batches != n {
+		t.Fatalf("requests %d, ingest %+v; want %d admitted submissions", st.Requests, st.Ingest, n)
 	}
-	if st.Ingest.Batches >= st.Ingest.Requests {
-		t.Fatalf("batches (%d) not below requests (%d): batching never engaged", st.Ingest.Batches, st.Ingest.Requests)
-	}
-	if st.Ingest.MaxBatch < 2 {
-		t.Fatalf("max batch = %d, want >= 2", st.Ingest.MaxBatch)
+	if m := st.Stages[flow.StageBind].Misses; m != 1 {
+		t.Fatalf("bind stage misses = %d, want 1: identical submissions must share one computation", m)
 	}
 	if len(st.BindStats) == 0 {
 		t.Fatal("statsz bind_stats empty after ingest runs")
@@ -135,65 +132,6 @@ func TestIngestBatching(t *testing.T) {
 		if bs.Report.Mode == "" {
 			t.Fatalf("bind_stats %s/%s missing edge-store mode: %+v", bs.Bench, bs.Algo, bs.Report)
 		}
-	}
-
-	ts.Close()
-	leak()
-}
-
-// TestIngestShedsBeyondQueue: ingest submissions count against the
-// admission bound. With one slot, a one-deep queue and two submissions
-// per batch, at most two submissions may wait; a burst of eight slow
-// distinct graphs must shed the overflow with 429 + Retry-After while
-// the admitted ones complete, and /statsz must count every 429.
-func TestIngestShedsBeyondQueue(t *testing.T) {
-	leak := checkGoroutines(t)
-	fi := pipeline.NewFaultInjector(1, pipeline.FaultRule{Stage: flow.StageSim, PDelay: 1, Delay: 500 * time.Millisecond})
-	s := New(Options{Cfg: testConfig(), MaxConcurrent: 1, MaxQueue: 1, BatchMax: 2, Injector: fi})
-	ts := httptest.NewServer(s.Handler())
-
-	const n = 8
-	codes := make([]int, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/ingest", ingestBody(fmt.Sprintf("g%d", i)))
-			codes[i] = resp.StatusCode
-			if resp.StatusCode == 429 && resp.Header.Get("Retry-After") == "" {
-				t.Error("429 without Retry-After")
-			}
-		}(i)
-	}
-	wg.Wait()
-	var ok, shed int
-	for _, c := range codes {
-		switch c {
-		case 200:
-			ok++
-		case 429:
-			shed++
-		default:
-			t.Errorf("unexpected status %d", c)
-		}
-	}
-	if ok == 0 || shed == 0 {
-		t.Fatalf("codes %v: want some 200s and some 429s", codes)
-	}
-
-	resp, err := ts.Client().Get(ts.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st Statsz
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(st.Shed) != shed || st.Ingest.Requests != n {
-		t.Fatalf("statsz shed %d, ingest requests %d; observed %d 429s of %d", st.Shed, st.Ingest.Requests, shed, n)
 	}
 
 	ts.Close()

@@ -67,11 +67,6 @@ type Options struct {
 	// Jobs is the intra-request worker count for sweep fan-out
 	// (Session.Jobs; 0 = GOMAXPROCS).
 	Jobs int
-	// BatchWindow is how long an ingest batch leader waits for peer
-	// submissions before processing (0 = 25ms). BatchMax bounds the
-	// submissions one batch carries (0 = 16). See ingest.go.
-	BatchWindow time.Duration
-	BatchMax    int
 	// Injector, when non-nil, arms deterministic fault injection on
 	// every request context — the lifecycle tests' lever for stuck
 	// stages, panics, and disk faults.
@@ -101,13 +96,8 @@ type Server struct {
 	panics   atomic.Int64 // handler panics recovered
 	warmHits atomic.Int64 // responses served from a completed run cache entry
 
-	// batch is the streaming-ingestion batcher (ingest.go); the counters
-	// below feed /statsz so operators — and the CI smoke test — can see
-	// batching actually happen (batches < requests under load).
-	batch          batcher
-	ingestRequests atomic.Int64 // ingest submissions received
-	ingestBatches  atomic.Int64 // batches processed
-	ingestMaxBatch atomic.Int64 // largest batch observed
+	ingestRequests atomic.Int64 // valid ingest submissions received
+	ingestAdmitted atomic.Int64 // ingest submissions admitted
 }
 
 // New builds a Server over opts (filling defaults) and wires its routes.
@@ -127,12 +117,6 @@ func New(opts Options) *Server {
 	if opts.DrainTimeout <= 0 {
 		opts.DrainTimeout = 30 * time.Second
 	}
-	if opts.BatchWindow <= 0 {
-		opts.BatchWindow = 25 * time.Millisecond
-	}
-	if opts.BatchMax <= 0 {
-		opts.BatchMax = 16
-	}
 	base := flow.NewSession(opts.Cfg)
 	base.Jobs = opts.Jobs
 	if opts.Store != nil {
@@ -143,7 +127,6 @@ func New(opts Options) *Server {
 		base:     base,
 		sem:      make(chan struct{}, opts.MaxConcurrent),
 		sessions: map[string]*flow.Session{base.Cfg.Fingerprint(): base},
-		batch:    batcher{window: opts.BatchWindow, max: opts.BatchMax},
 	}
 	s.mux = http.NewServeMux()
 	s.mux.Handle("POST /v1/bind", s.wrap(s.handleBind))
@@ -266,16 +249,29 @@ func (s *Server) timeout(requestedMS int64) time.Duration {
 	return d
 }
 
-// reqContext derives the execution context for an admitted request:
-// the client's context (cancelled on disconnect and on force-close)
-// bounded by the resolved deadline, carrying the server's fault
-// injector when one is armed.
-func (s *Server) reqContext(r *http.Request, requestedMS int64) (context.Context, context.CancelFunc) {
+// admit is the one admission path of the flow endpoints. It resolves
+// the session for the request's overrides, derives the execution
+// context (the client's context, cancelled on disconnect and on
+// force-close, bounded by the resolved deadline and carrying the
+// server's fault injector when one is armed) and waits in acquire for
+// a slot, so the deadline covers the queue wait too. On success the
+// request counts as admitted, and done releases the slot and the
+// context.
+func (s *Server) admit(r *http.Request, o configOverrides, requestedMS int64) (se *flow.Session, ctx context.Context, done func(), err error) {
+	if se, err = s.session(o); err != nil {
+		return nil, nil, nil, err
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(requestedMS))
 	if s.opts.Injector != nil {
 		ctx = pipeline.WithInjector(ctx, s.opts.Injector)
 	}
-	return ctx, cancel
+	release, err := s.acquire(ctx)
+	if err != nil {
+		cancel()
+		return nil, nil, nil, err
+	}
+	s.requests.Add(1)
+	return se, ctx, func() { release(); cancel() }, nil
 }
 
 // wrap adapts an error-returning handler: errors map to JSON responses

@@ -153,22 +153,31 @@ func TestBindWarmAndErrors(t *testing.T) {
 }
 
 // TestShedsLoadWith429: with one execution slot and a one-deep queue,
-// a burst of slow requests must shed the overflow immediately with
-// 429 + Retry-After while the admitted ones complete.
+// a burst of slow requests, five binds and two distinct ingests, must
+// shed the overflow immediately with 429 + Retry-After while the
+// admitted ones complete. Ingests are admitted like binds, one
+// submission at a time, so /statsz counts every 429 in shed.
 func TestShedsLoadWith429(t *testing.T) {
 	leak := checkGoroutines(t)
 	fi := pipeline.NewFaultInjector(1, pipeline.FaultRule{Stage: flow.StageSim, PDelay: 1, Delay: 2 * time.Second})
 	s := New(Options{Cfg: testConfig(), MaxConcurrent: 1, MaxQueue: 1, Injector: fi})
 	ts := httptest.NewServer(s.Handler())
 
-	benches := []string{"pr", "wang", "mcm", "dir", "honda"}
-	codes := make([]int, len(benches))
+	type request struct{ path, body string }
+	var burst []request
+	for _, b := range []string{"pr", "wang", "mcm", "dir", "honda"} {
+		burst = append(burst, request{"/v1/bind", fmt.Sprintf(`{"bench":%q}`, b)})
+	}
+	for _, name := range []string{"g1", "g2"} {
+		burst = append(burst, request{"/v1/ingest", ingestBody(name)})
+	}
+	codes := make([]int, len(burst))
 	var wg sync.WaitGroup
-	for i, b := range benches {
+	for i, r := range burst {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/bind", fmt.Sprintf(`{"bench":%q}`, b))
+			resp, _ := postJSON(t, ts.Client(), ts.URL+r.path, r.body)
 			codes[i] = resp.StatusCode
 			if resp.StatusCode == 429 && resp.Header.Get("Retry-After") == "" {
 				t.Error("429 without Retry-After")
@@ -189,8 +198,8 @@ func TestShedsLoadWith429(t *testing.T) {
 	}
 	// 1 running + 1 queued may pass; everything else must shed. Exact
 	// counts depend on arrival interleaving, but overflow is certain.
-	if ok == 0 || shed < len(benches)-2 {
-		t.Fatalf("codes %v: want some 200s and >=%d 429s", codes, len(benches)-2)
+	if ok == 0 || shed < len(burst)-2 {
+		t.Fatalf("codes %v: want some 200s and >=%d 429s", codes, len(burst)-2)
 	}
 
 	var st Statsz
@@ -207,8 +216,9 @@ func TestShedsLoadWith429(t *testing.T) {
 	if resp.StatusCode != 200 || json.Unmarshal(body, &st) != nil {
 		t.Fatalf("statsz: %d %s", resp.StatusCode, body)
 	}
-	if int(st.Shed) != shed || st.InFlight != 0 {
-		t.Fatalf("statsz %+v disagrees with observed shed=%d", st, shed)
+	if int(st.Shed) != shed || st.InFlight != 0 || st.Ingest.Requests != 2 {
+		t.Fatalf("statsz shed %d, in_flight %d, ingest requests %d; observed %d 429s and sent 2 ingests",
+			st.Shed, st.InFlight, st.Ingest.Requests, shed)
 	}
 
 	ts.Close()
