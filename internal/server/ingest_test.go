@@ -6,8 +6,10 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/flow"
+	"repro/internal/pipeline"
 )
 
 // ingestBody builds a small valid inline-CDFG submission: two products
@@ -132,6 +134,65 @@ func TestIngestIdenticalComputedOnce(t *testing.T) {
 		if bs.Report.Mode == "" {
 			t.Fatalf("bind_stats %s/%s missing edge-store mode: %+v", bs.Bench, bs.Algo, bs.Report)
 		}
+	}
+
+	ts.Close()
+	leak()
+}
+
+// TestIngestShedsBeyondQueue: with one execution slot and a one-deep
+// queue, a burst of slow distinct ingests must shed the overflow with
+// 429 + Retry-After, and /statsz must count every 429 in shed and every
+// 200 as an admitted submission.
+func TestIngestShedsBeyondQueue(t *testing.T) {
+	leak := checkGoroutines(t)
+	fi := pipeline.NewFaultInjector(1, pipeline.FaultRule{Stage: flow.StageSim, PDelay: 1, Delay: 500 * time.Millisecond})
+	s := New(Options{Cfg: testConfig(), MaxConcurrent: 1, MaxQueue: 1, Injector: fi})
+	ts := httptest.NewServer(s.Handler())
+
+	const n = 8
+	codes := make([]int, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/ingest", ingestBody(fmt.Sprintf("g%d", i)))
+			codes[i] = resp.StatusCode
+			if resp.StatusCode == 429 && resp.Header.Get("Retry-After") == "" {
+				t.Error("429 without Retry-After")
+			}
+		}(i)
+	}
+	wg.Wait()
+	var ok, shed int
+	for _, c := range codes {
+		switch c {
+		case 200:
+			ok++
+		case 429:
+			shed++
+		default:
+			t.Errorf("unexpected status %d", c)
+		}
+	}
+	// 1 running + 1 queued may pass; everything else must shed.
+	if ok == 0 || shed < n-2 {
+		t.Fatalf("codes %v: want some 200s and >=%d 429s", codes, n-2)
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Statsz
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(st.Shed) != shed || st.Ingest.Requests != n || int(st.Ingest.Batches) != ok {
+		t.Fatalf("statsz shed %d, ingest %+v; observed %d 200s and %d 429s of %d", st.Shed, st.Ingest, ok, shed, n)
 	}
 
 	ts.Close()
